@@ -70,6 +70,7 @@ from .momentlab import (
     exact_first_moment,
     first_moment_expansion,
     first_moment_mc,
+    free_energy_and_moments,
     h3_representation,
     h4_direct,
     h4_quadruple_loop,

@@ -7,10 +7,11 @@ chunks; results are merged back in index order, which makes CSV output
 and report statistics byte-reproducible for a fixed config.
 
 Modes: theorem1 and theorem2 enumerate each replica's configuration space
-(free energy plus quenched moments); jterm_clt touches only the coupling
-vector and has no size budget; identities recomputes the combinatorial
-representations per replica and reports worst-case residuals; constants
-and tabulate emit theory tables and need no replicas.
+in one folded half-table pass that gives the free energy and the quenched
+moments together; jterm_clt touches only the coupling vector and has no
+size budget; identities recomputes the combinatorial representations per
+replica against the unfolded full-table moments and reports worst-case
+residuals; constants and tabulate emit theory tables and need no replicas.
 
 The CSV schema is fixed: replica,f_n,j_n,t_n,scaled_t1,scaled_gap,scaled_t2.
 Columns that a mode does not produce are left empty.  The JSON report
@@ -35,6 +36,8 @@ from .covariance import expansion_approx, exact_covariance, hermite, overlap_gri
 from .errors import InvalidParametersError, ResourceLimitError
 from .model import ENUMERATION_BUDGET, free_energy, j_term
 from .momentlab import (
+    BRUTE_PAIR_N,
+    free_energy_and_moments,
     h3_representation,
     h4_direct,
     pair_moment_paths,
@@ -68,7 +71,6 @@ _IDENTITY_TOLERANCES = {
     "t1_gap_identity": 1e-9,
     "pair_moment_paths": 0.0,
 }
-_BRUTE_PAIR_N = 14
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,10 @@ class ExperimentConfig:
             )
         if self.replicas < 1:
             raise InvalidParametersError(f"replicas={self.replicas} must be >= 1")
+        if self.mode in _SAMPLING_MODES and self.replicas < 2:
+            raise InvalidParametersError(
+                f"mode {self.mode} summarizes a sample and needs replicas >= 2"
+            )
         if self.format not in ("csv", "json"):
             raise InvalidParametersError(f"format {self.format!r} not in {{csv, json}}")
 
@@ -203,8 +209,10 @@ def summarize(
 
 def _resolve_threads(threads: Optional[int]) -> int:
     if threads is None:
-        env = os.environ.get("PSPIN_THREADS", "").strip()
-        threads = int(env) if env else 1
+        env = os.environ.get("PSPIN_THREADS", "").strip() or "1"
+        if not env.isdecimal():
+            raise InvalidParametersError(f"PSPIN_THREADS={env!r} is not a positive integer")
+        threads = int(env)
     if threads < 1:
         raise InvalidParametersError(f"threads={threads} must be >= 1")
     return threads
@@ -223,9 +231,12 @@ def _replica_tuple(config: ExperimentConfig, a_exp: Optional[float], idx: int):
     beta = params.beta
     if config.mode == "jterm_clt":
         return (idx, None, j_term(disorder, beta), None, None, None, None)
-    f_n = free_energy(disorder, beta)
+    if config.mode == "identities":
+        f_n = free_energy(disorder, beta)
+        moments = quenched_moments(disorder, beta)
+    else:
+        f_n, moments = free_energy_and_moments(disorder, beta)
     j_n = j_term(disorder, beta)
-    moments = quenched_moments(disorder, beta)
     half_p = params.N ** (params.p / 2.0)
     scaled_t1 = half_p * (f_n - beta * beta / 2.0)
     scaled_gap = half_p * (f_n - j_n)
@@ -356,7 +367,7 @@ def _identity_report(config: ExperimentConfig, rows: list) -> dict:
         rhs = half_p * (j_n - target)
         res_gap = abs(lhs - rhs) / max(abs(t1), abs(gap), 1.0)
         worst["t1_gap_identity"] = max(worst["t1_gap_identity"], res_gap)
-    if params.N <= _BRUTE_PAIR_N:
+    if params.N <= BRUTE_PAIR_N:
         res_pair = 0.0
         for k in (1, 2, 3, 4):
             path_a, path_b = pair_moment_paths(params.N, params.p, k)

@@ -18,7 +18,11 @@ enumeration engines coexist:
 Partition sums exploit the global-flip symmetry X(~s) = (-1)^p X(s): only
 the half-space with the top spin up is transformed, and the mirrored half
 enters as exp(-y) (p odd) or a factor 2 (p even).  The fold is checked
-against the unfolded sum in the test suite.
+against the unfolded sum in the test suite.  :func:`partition_and_power_sums`
+is the single pass over that half table: it yields ln Z_N together with the
+sums of X^2, X^3, X^4 the quenched moments need, so a theorem replica
+transforms one 2^(N-1) table; :func:`log_partition` and :func:`free_energy`
+are thin callers of it.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ __all__ = [
     "gray_sweep",
     "field_table",
     "field_chunks",
+    "partition_and_power_sums",
     "log_partition",
     "free_energy",
     "j_term",
@@ -51,6 +56,11 @@ ENUMERATION_BUDGET = 30
 # Largest table built in one piece: 2^24 doubles = 128 MiB.
 _DIRECT_TABLE_BITS = 24
 _CHUNK_BITS = 22
+
+# FWHT blocking: 2^16 doubles (512 KiB) plus equal scratch fit in L2;
+# stages below 2^8 have rows too short for numpy and run transposed.
+_FWHT_BLOCK_BITS = 16
+_FWHT_LOW_BITS = 8
 
 # A configuration is a plain int bitmask; bit i set <=> sigma_{i+1} = -1.
 SpinConfiguration = int
@@ -138,16 +148,55 @@ def gray_sweep(disorder: Disorder, visitor) -> None:
         visitor(ledger.bits, ledger.current_X)
 
 
-def _fwht(a: np.ndarray) -> np.ndarray:
-    """In-place Walsh-Hadamard transform, natural (Hadamard) ordering."""
-    n = a.size
+def _wht_axis0(x: np.ndarray, t: np.ndarray) -> None:
+    """Walsh-Hadamard transform along axis 0 of the 2-D view x, in place.
+
+    ``t`` is scratch of x's shape.  A radix-4 step runs the radix-2 stages
+    h and 2h, x -> t -> x, with the same additions in the same order as two
+    separate radix-2 stages; a radix-2 tail covers an odd stage count.
+    """
+    rows, cols = x.shape
     h = 1
-    while h < n:
-        b = a.reshape(-1, 2 * h)
-        x = b[:, :h].copy()
-        b[:, :h] += b[:, h:]
-        b[:, h:] = x - b[:, h:]
-        h *= 2
+    while 4 * h <= rows:
+        q = x.reshape(-1, 4, h, cols)
+        r = t.reshape(-1, 4, h, cols)
+        for src, dst, pairs in ((q, r, ((0, 1), (2, 3))), (r, q, ((0, 2), (1, 3)))):
+            for i, j in pairs:
+                np.add(src[:, i], src[:, j], out=dst[:, i])
+                np.subtract(src[:, i], src[:, j], out=dst[:, j])
+        h *= 4
+    if h < rows:
+        lo, hi, diff = x[:h], x[h:], t[:h]
+        np.subtract(lo, hi, out=diff)
+        lo += hi
+        hi[...] = diff
+
+
+def _fwht(a: np.ndarray) -> np.ndarray:
+    """In-place Walsh-Hadamard transform, natural (Hadamard) ordering.
+
+    Every entry sees the butterflies of the radix-2 stages h = 1, 2, 4, ...
+    in that order, so the result is bit-identical to the plain stage loop.
+    Stages below 2^_FWHT_BLOCK_BITS run block by block, the first of them on
+    a transposed copy; the wide stages then run over column slices.
+    """
+    n = a.size
+    low = min(n, 1 << _FWHT_LOW_BITS)
+    block = min(n, 1 << _FWHT_BLOCK_BITS)
+    t = np.empty(block)
+    for start in range(0, n, block):
+        b = a[start : start + block]
+        bt = t.reshape(low, -1)
+        np.copyto(bt, b.reshape(-1, low).T)
+        _wht_axis0(bt, b.reshape(low, -1))
+        np.copyto(b.reshape(-1, low), bt.T)
+        _wht_axis0(b.reshape(-1, low), t.reshape(-1, low))
+    if n > block:
+        rows = n // block
+        width = block // rows
+        wide = a.reshape(rows, block)
+        for col in range(0, block, width):
+            _wht_axis0(wide[:, col : col + width], t.reshape(rows, width))
     return a
 
 
@@ -165,9 +214,7 @@ def _scatter(disorder: Disorder, n_bits: int, high_state: int = 0) -> np.ndarray
         high = masks >> np.uint64(n_bits)
         parity = (np.bitwise_count(high & np.uint64(high_state)) & np.uint64(1)).astype(np.float64)
         values = values * (1.0 - 2.0 * parity)
-    table = np.zeros(1 << n_bits)
-    np.add.at(table, low, values)
-    return table
+    return np.bincount(low, weights=values, minlength=1 << n_bits)
 
 
 def field_table(disorder: Disorder, half: bool = False) -> np.ndarray:
@@ -209,11 +256,14 @@ def field_chunks(disorder: Disorder, half: bool = False, chunk_bits: int = _CHUN
         yield table
 
 
-def log_partition(disorder: Disorder, beta: float) -> float:
-    """ln Z_N(beta) = ln E_sigma e^{beta sqrt(N) X_sigma}, exact enumeration.
+def partition_and_power_sums(disorder: Disorder, beta: float) -> tuple:
+    """ln Z_N(beta) and the sums of X^2, X^3, X^4 over all 2^N states.
 
-    Log-domain accumulation with a running maximum; safe for
-    beta sqrt(N) max|X| up to the exp overflow threshold.
+    One pass over the half table.  ln Z_N = ln E_sigma e^{beta sqrt(N) X}
+    is accumulated in log domain with a running maximum, safe for
+    beta sqrt(N) max|X| up to the exp overflow threshold.  The mirrored
+    half X(~s) = (-1)^p X(s) doubles the even powers; the odd power
+    doubles for even p and cancels to exactly 0 for odd p.
     """
     params = disorder.params
     if not (beta >= 0.0):
@@ -224,19 +274,33 @@ def log_partition(disorder: Disorder, beta: float) -> float:
     scale = beta * math.sqrt(params.N)
     odd = params.p % 2 == 1
     running_max = -math.inf
-    acc = 0.0
+    acc = s2 = s3 = s4 = 0.0
     for chunk in field_chunks(disorder, half=True):
-        y = scale * chunk
-        parts = (y, -y) if odd else (y,)
-        for part in parts:
-            m = float(part.max())
+        buf = chunk * chunk
+        s2 += float(buf.sum())
+        # einsum, not np.dot: a BLAS dot splits its sum by thread count
+        if not odd:
+            s3 += float(np.einsum("i,i->", buf, chunk))
+        s4 += float(np.einsum("i,i->", buf, buf))
+        y = np.multiply(chunk, scale, out=chunk)
+        for part in range(2 if odd else 1):
+            if part:
+                np.negative(y, out=y)
+            m = float(y.max())
             if m > running_max:
                 acc *= math.exp(running_max - m)
                 running_max = m
-            acc += float(np.exp(part - m).sum()) * math.exp(m - running_max)
+            np.subtract(y, m, out=buf)
+            acc += float(np.exp(buf, out=buf).sum()) * math.exp(m - running_max)
     if not odd:
         acc *= 2.0
-    return running_max + math.log(acc) - params.N * math.log(2.0)
+    log_z = running_max + math.log(acc) - params.N * math.log(2.0)
+    return log_z, 2.0 * s2, 2.0 * s3, 2.0 * s4
+
+
+def log_partition(disorder: Disorder, beta: float) -> float:
+    """ln Z_N(beta) = ln E_sigma e^{beta sqrt(N) X_sigma}, exact enumeration."""
+    return partition_and_power_sums(disorder, beta)[0]
 
 
 def free_energy(disorder: Disorder, beta: float) -> float:

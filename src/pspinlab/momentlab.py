@@ -33,7 +33,7 @@ from numpy.random import Philox
 
 from .covariance import covariance_numerator
 from .errors import IdentityCheckError, InvalidParametersError, ResourceLimitError
-from .model import field_chunks
+from .model import field_chunks, partition_and_power_sums
 from .multiindex import (
     Disorder,
     ModelParams,
@@ -46,6 +46,7 @@ from .multiindex import (
 __all__ = [
     "QuenchedMoments",
     "quenched_moments",
+    "free_energy_and_moments",
     "h3_representation",
     "h4_statistic",
     "h4_direct",
@@ -61,7 +62,7 @@ __all__ = [
 
 _PAIR_BUDGET = 2 * 10**8      # binom^2 cap for pair loops
 _QUAD_BUDGET = 2 * 10**6      # binom^3 cap for the literal quadruple loop
-_BRUTE_PAIR_N = 14            # brute-force pair-moment budget
+BRUTE_PAIR_N = 14             # brute-force pair-moment budget
 _SIGMA_TAG = 0x5349474D41     # auxiliary stream id for configuration draws
 
 
@@ -88,7 +89,6 @@ def quenched_moments(disorder: Disorder, beta: float) -> QuenchedMoments:
     symmetry folding is applied, so for odd p the vanishing of E[H^3] is a
     genuine cancellation, not a construction.
     """
-    params = disorder.params
     if not (beta >= 0.0):
         raise InvalidParametersError(f"beta={beta} must be >= 0")
     s2 = s3 = s4 = 0.0
@@ -97,13 +97,29 @@ def quenched_moments(disorder: Disorder, beta: float) -> QuenchedMoments:
         s2 += float(x2.sum())
         s3 += float(np.dot(x2, chunk))
         s4 += float(np.dot(x2, x2))
+    return _moments_from_sums(disorder, beta, s2, s3, s4)
+
+
+def free_energy_and_moments(disorder: Disorder, beta: float) -> tuple:
+    """(F_N(beta), quenched moments) from one folded half-table pass.
+
+    F_N is bit-identical to :func:`free_energy`; for odd p the fold makes
+    E[H^3] exactly 0, so :func:`quenched_moments` stays the unfolded check.
+    """
+    log_z, s2, s3, s4 = partition_and_power_sums(disorder, beta)
+    return log_z / disorder.params.N, _moments_from_sums(disorder, beta, s2, s3, s4)
+
+
+def _moments_from_sums(disorder: Disorder, beta: float, s2, s3, s4) -> QuenchedMoments:
+    """Moments and quartic statistics from sums of X^2, X^3, X^4 over 2^N states."""
+    params = disorder.params
     n_states = 2.0**params.N
     N = params.N
     m2 = N * (s2 / n_states)
     m3 = -(N**1.5) * (s3 / n_states)
     m4 = N * N * (s4 / n_states)
     j4_sum = float(np.sum(disorder.couplings**4))
-    a4 = disorder.params.a_n**4
+    a4 = params.a_n**4
     h4 = -(m2 * m2) / 8.0 + m4 / 24.0 + a4 / 12.0 * j4_sum
     t_value = (
         1.0
@@ -329,8 +345,8 @@ def pair_moment_paths(N: int, p: int, k: int):
         raise InvalidParametersError(f"moment order k={k} must be in 1..4")
     if p < 1 or N < p:
         raise InvalidParametersError(f"need 1 <= p <= N, got p={p}, N={N}")
-    if N > _BRUTE_PAIR_N:
-        raise ResourceLimitError(f"brute-force pair moments capped at N={_BRUTE_PAIR_N}")
+    if N > BRUTE_PAIR_N:
+        raise ResourceLimitError(f"brute-force pair moments capped at N={BRUTE_PAIR_N}")
     grid_total = 0
     for k_dis in range(N + 1):
         weight = math.comb(N, N - k_dis)

@@ -32,3 +32,16 @@ def logsumexp_mean(values, scale):
     y = scale * np.asarray(values, dtype=np.float64)
     m = float(y.max())
     return m + math.log(float(np.exp(y - m).mean()))
+
+
+def fwht_radix2(a):
+    """In-place Walsh-Hadamard transform, one radix-2 stage at a time."""
+    n = a.size
+    h = 1
+    while h < n:
+        b = a.reshape(-1, 2 * h)
+        x = b[:, :h].copy()
+        b[:, :h] += b[:, h:]
+        b[:, h:] = x - b[:, h:]
+        h *= 2
+    return a

@@ -22,6 +22,8 @@ from pspinlab import (
     summarize,
     tabulate_covariance,
 )
+from pspinlab import harness
+from pspinlab.cli import main
 from pspinlab.harness import _resolve_threads
 
 
@@ -104,6 +106,29 @@ def test_resolve_threads(monkeypatch):
     assert _resolve_threads(2) == 2
     with pytest.raises(InvalidParametersError):
         _resolve_threads(0)
+
+
+def test_non_integer_threads_env_exits_1(monkeypatch, capsys):
+    monkeypatch.setenv("PSPIN_THREADS", "abc")
+    with pytest.raises(InvalidParametersError):
+        _resolve_threads(None)
+    assert main(["run", "--mode", "constants", "--n", "3", "--p", "3", "--beta", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "PSPIN_THREADS" in err
+
+
+def test_single_replica_sampling_rejected_before_any_replica(monkeypatch, capsys):
+    drawn = []
+    monkeypatch.setattr(harness, "sample_disorder", lambda *a: drawn.append(a))
+    for mode in ("theorem1", "theorem2", "jterm_clt"):
+        with pytest.raises(InvalidParametersError):
+            config(10, 3, 0.4, mode, 1)
+        argv = ["run", "--mode", mode, "--n", "10", "--p", "3", "--beta", "0.4",
+                "--replicas", "1"]
+        assert main(argv) == 1
+    assert drawn == []
+    assert "replicas >= 2" in capsys.readouterr().err
+    config(10, 3, 0.4, "identities", 1)
 
 
 def test_replica_seed_derivation():

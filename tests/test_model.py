@@ -20,7 +20,9 @@ from pspinlab import (
     sample_disorder,
 )
 
-from _oracles import naive_field_table, naive_log_partition
+from pspinlab.model import _fwht
+
+from _oracles import fwht_radix2, naive_field_table, naive_log_partition
 
 
 def unit_disorder(N, p, value=1.0):
@@ -111,6 +113,15 @@ def test_field_chunks_agree_with_direct_table():
         glued, direct, atol=1e-12
     )
     assert glued.size == 1 << 12
+
+
+def test_fwht_bit_identical_to_radix2_stages():
+    # odd and even log2 sizes, up to past the cache block (2^16) so the
+    # wide column-slice stages run too
+    rng = np.random.default_rng(3)
+    for bits in range(1, 19):
+        x = rng.standard_normal(1 << bits)
+        assert np.array_equal(_fwht(x.copy()), fwht_radix2(x.copy())), bits
 
 
 def test_half_table_fold_identity():

@@ -16,6 +16,8 @@ from pspinlab import (
     exact_first_moment,
     first_moment_expansion,
     first_moment_mc,
+    free_energy,
+    free_energy_and_moments,
     h3_representation,
     h4_direct,
     h4_quadruple_loop,
@@ -58,6 +60,24 @@ def test_quenched_moments_vs_naive_enumeration():
         b = 0.7
         t = 1.0 - b**4 * m2 * m2 / 8.0 - b**3 * m3 / 6.0 + b**4 * m4 / 24.0
         assert q.t_value == pytest.approx(t, rel=1e-12)
+
+
+def test_fused_pass_matches_separate_paths():
+    beta = 0.4
+    for p in (3, 4):
+        for N in (9, 10, 12):
+            d = make_disorder(N, p, 100 + 10 * p + N)
+            f_n, fused = free_energy_and_moments(d, beta)
+            unfolded = quenched_moments(d, beta)
+            assert f_n == free_energy(d, beta)
+            assert fused.m2 == pytest.approx(unfolded.m2, rel=1e-12, abs=0.0)
+            assert fused.m4 == pytest.approx(unfolded.m4, rel=1e-12, abs=0.0)
+            if p % 2:
+                assert fused.m3 == 0.0
+            else:
+                assert fused.m3 == pytest.approx(unfolded.m3, rel=1e-12, abs=0.0)
+            assert fused.j4_sum == unfolded.j4_sum
+            assert fused.t_value == pytest.approx(unfolded.t_value, rel=1e-12, abs=0.0)
 
 
 def test_single_coupling_moments():
