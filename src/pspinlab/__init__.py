@@ -92,6 +92,5 @@ from .harness import (
     summarize,
     tabulate_covariance,
 )
-from .cli import cli_main
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ from .momentlab import quenched_moments
 from .multiindex import ModelParams, sample_disorder
 from .theory import REM_BETA, beta_p
 
-__all__ = ["main", "cli_main", "build_parser"]
+__all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,9 +205,6 @@ def main(argv: Optional[list] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-cli_main = main
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from .errors import InvalidParametersError, ResourceLimitError
 from .model import ENUMERATION_BUDGET, free_energy, j_term
 from .momentlab import (
     BRUTE_PAIR_N,
+    check_pair_budget,
     free_energy_and_moments,
     h3_representation,
     h4_direct,
@@ -444,6 +445,8 @@ def run_experiment(
             f"mode {mode} enumerates 2^N states and is capped at "
             f"N <= {ENUMERATION_BUDGET}; got N={params.N}"
         )
+    if mode == "identities":
+        check_pair_budget(params.N, params.p)
 
     a_exp = _a_exponent(params) if mode in ("theorem1", "theorem2") else None
 

@@ -19,6 +19,10 @@ partition function and the moment generating function of the J term) are
 evaluated in log domain, with Monte Carlo estimators provided for
 agreement tests.  Pair-overlap moments are computed in exact integer
 arithmetic along two independent routes so equality is bit-exact.
+
+The index combinatorics of the pair sums depend only on (N, p): they are
+built once per (N, p), under a byte budget, into a cached pair plan that
+every disorder replica reuses, so a replica only gathers and bins couplings.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -50,6 +55,7 @@ __all__ = [
     "h3_representation",
     "h4_statistic",
     "h4_direct",
+    "check_pair_budget",
     "h4_quadruple_loop",
     "exact_first_moment",
     "first_moment_expansion",
@@ -60,7 +66,12 @@ __all__ = [
     "pair_moment_paths",
 ]
 
-_PAIR_BUDGET = 2 * 10**8      # binom^2 cap for pair loops
+# Building the pair plan peaks at 49-61 B per coupling pair (tracemalloc,
+# n = 495..3060, p = 3..5: n^2 uint64 differences, np.unique's sort and
+# inverse); a call adds 16 B.  Per process: each worker builds its own.
+_PLAN_BYTES_PER_PAIR = 64
+_PLAN_BYTE_BUDGET = 2 * 2**30
+_H3_BLOCK_PAIRS = 25_000_000  # h3 row block = this // n rows; block sums add in order
 _QUAD_BUDGET = 2 * 10**6      # binom^3 cap for the literal quadruple loop
 BRUTE_PAIR_N = 14             # brute-force pair-moment budget
 _SIGMA_TAG = 0x5349474D41     # auxiliary stream id for configuration draws
@@ -95,8 +106,9 @@ def quenched_moments(disorder: Disorder, beta: float) -> QuenchedMoments:
     for chunk in field_chunks(disorder):
         x2 = chunk * chunk
         s2 += float(x2.sum())
-        s3 += float(np.dot(x2, chunk))
-        s4 += float(np.dot(x2, x2))
+        # einsum, not np.dot: a BLAS dot splits its sum by thread count
+        s3 += float(np.einsum("i,i->", x2, chunk))
+        s4 += float(np.einsum("i,i->", x2, x2))
     return _moments_from_sums(disorder, beta, s2, s3, s4)
 
 
@@ -137,26 +149,15 @@ def h3_representation(disorder: Disorder) -> float:
     C = A xor B; each ordered triple with empty symmetric difference is hit
     exactly once.  For odd p the sum is empty (two p-sets always have a
     symmetric difference of even size) and the representation vanishes
-    identically, matching the vanishing of E[H^3].
+    identically, matching the vanishing of E[H^3].  The rank triples come
+    from the pair plan built once per (N, p), in row blocks.
     """
     params = disorder.params
-    n = params.n_couplings
-    if n * n > _PAIR_BUDGET:
-        raise ResourceLimitError(f"pair loop over binom^2 = {n * n} exceeds budget")
-    masks = mask_table(params.N, params.p)
     couplings = disorder.couplings
-    p_u64 = np.uint64(params.p)
     total = 0.0
-    block = max(1, _PAIR_BUDGET // (8 * n))
-    for start in range(0, n, block):
-        sym = masks[start : start + block, None] ^ masks[None, :]
-        rows, cols = np.nonzero(np.bitwise_count(sym) == p_u64)
-        if rows.size == 0:
-            continue
-        c_rank = np.searchsorted(masks, sym[rows, cols])
-        total += float(
-            np.sum(couplings[start + rows] * couplings[cols] * couplings[c_rank])
-        )
+    for a, b, c in _pair_plan(params.N, params.p)[0]:
+        product = couplings.take(a) * couplings.take(b) * couplings.take(c)
+        total += float(np.sum(product))
     return params.a_n**3 * total
 
 
@@ -177,22 +178,54 @@ def h4_direct(disorder: Disorder) -> float:
     ordered quadruple, and the only colliding (non-distinct) combinations
     are (C, D) = (A, B) or (B, A), removed exactly by 2 sum_{A != B}
     J_A^2 J_B^2.  Checked against the literal quadruple loop at small N.
+    The pairs' groups by v come from the pair plan built once per (N, p);
+    group 0 is v = 0, the diagonal A = B, and is dropped.
     """
     params = disorder.params
-    n = params.n_couplings
-    if n * n > _PAIR_BUDGET:
-        raise ResourceLimitError(f"pair grouping over binom^2 = {n * n} exceeds budget")
-    masks = mask_table(params.N, params.p)
+    groups = _pair_plan(params.N, params.p)[1]
     couplings = disorder.couplings
-    sym = (masks[:, None] ^ masks[None, :]).ravel()
     outer = (couplings[:, None] * couplings[None, :]).ravel()
-    off = sym != 0
-    _, inverse = np.unique(sym[off], return_inverse=True)
-    t_by_diff = np.bincount(inverse, weights=outer[off])
+    t_by_diff = np.bincount(groups, weights=outer)[1:]
     j2 = float(np.dot(couplings, couplings))
     j4 = float(np.sum(couplings**4))
     quad_sum = float(np.dot(t_by_diff, t_by_diff)) - 2.0 * (j2 * j2 - j4)
     return params.a_n**4 / 24.0 * quad_sum
+
+
+def check_pair_budget(N: int, p: int) -> None:
+    """Refuse an (N, p) whose pair plan would not fit the byte budget."""
+    pairs = math.comb(N, p) ** 2
+    if pairs * _PLAN_BYTES_PER_PAIR > _PLAN_BYTE_BUDGET:
+        raise ResourceLimitError(
+            f"pair plan over binom^2 = {pairs} pairs exceeds the "
+            f"{_PLAN_BYTE_BUDGET >> 30} GiB budget at {_PLAN_BYTES_PER_PAIR} B/pair"
+        )
+
+
+@lru_cache(maxsize=1)
+def _pair_plan(N: int, p: int) -> tuple:
+    """(h3 blocks, h4 groups), read-only, shared by every disorder.
+
+    h3: per row block with hits, the (3, k) int32 ranks A, B, C = A xor B of
+    the pairs with |A xor B| = p.  h4: np.unique's inverse of the n^2 A xor B,
+    kept intp because np.bincount copies any other index type on every call.
+    """
+    check_pair_budget(N, p)
+    masks = mask_table(N, p)
+    n = masks.size
+    block = max(1, _H3_BLOCK_PAIRS // n)
+    h3_blocks = []
+    for start in range(0, n, block):
+        sym = masks[start : start + block, None] ^ masks[None, :]
+        rows, cols = np.nonzero(np.bitwise_count(sym) == np.uint64(p))
+        if rows.size:
+            c_rank = np.searchsorted(masks, sym[rows, cols])
+            h3_blocks.append(np.array([start + rows, cols, c_rank], dtype=np.int32))
+    sym = (masks[:, None] ^ masks[None, :]).ravel()
+    groups = np.unique(sym, return_inverse=True)[1]
+    for x in (groups, *h3_blocks):
+        x.flags.writeable = False
+    return tuple(h3_blocks), groups
 
 
 def h4_quadruple_loop(disorder: Disorder) -> float:
@@ -338,8 +371,8 @@ def pair_moment_paths(N: int, p: int, k: int):
     """Both exact rational routes to the pair-overlap moment, unreduced.
 
     Route one sums (binom f)^k against the overlap pmf on the grid; route
-    two enumerates subsets at each disagreement count.  Returns a pair of
-    Fractions for bit-exact comparison.
+    two enumerates subsets at each disagreement count, once per (N, p).
+    Returns a pair of Fractions for bit-exact comparison.
     """
     if k not in (1, 2, 3, 4):
         raise InvalidParametersError(f"moment order k={k} must be in 1..4")
@@ -352,13 +385,17 @@ def pair_moment_paths(N: int, p: int, k: int):
         weight = math.comb(N, N - k_dis)
         grid_total += weight * covariance_numerator(N, p, k_dis) ** k
     brute_total = 0
-    sites = range(1, N + 1)
-    for k_dis in range(N + 1):
-        disagree = set(sites[:k_dis])
-        signed = 0
-        for A in combinations(sites, p):
-            overlap_count = sum(1 for a in A if a in disagree)
-            signed += -1 if overlap_count % 2 else 1
+    for k_dis, signed in enumerate(_brute_signed_sums(N, p)):
         brute_total += math.comb(N, k_dis) * signed**k
     denom = 1 << N
     return Fraction(grid_total, denom), Fraction(brute_total, denom)
+
+
+@lru_cache(maxsize=None)
+def _brute_signed_sums(N: int, p: int) -> tuple:
+    """Per k_dis = 0..N, the sum over p-subsets A of (-1)^|A & {1..k_dis}|."""
+    subsets = list(combinations(range(1, N + 1), p))
+    return tuple(
+        sum(-1 if sum(a <= k_dis for a in A) % 2 else 1 for A in subsets)
+        for k_dis in range(N + 1)
+    )

@@ -193,6 +193,7 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["p"] == 4
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_parser_subcommands_complete():

@@ -262,6 +262,19 @@ def test_enumeration_budget():
         run_experiment(config(31, 3, 0.4, "identities", 2))
 
 
+def test_identities_pair_budget_before_first_replica(monkeypatch, capsys):
+    def no_replica(*args):
+        raise AssertionError("a replica ran before the pair budget check")
+
+    monkeypatch.setattr(harness, "sample_disorder", no_replica)
+    with pytest.raises(ResourceLimitError):
+        run_experiment(config(22, 6, 0.4, "identities", 2))
+    code = main(["identities", "--n", "22", "--p", "6", "--replicas", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: pair plan") and err.count("\n") == 1
+
+
 def test_identities_mode_report():
     report = run_experiment(config(10, 3, 0.5, "identities", 25, seed=6))
     ids = report.identities

@@ -1,12 +1,16 @@
 """Quenched moments, combinatorial representations, disorder laws."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from pspinlab import momentlab
 from pspinlab import (
     Disorder,
     InvalidParametersError,
@@ -31,7 +35,7 @@ from pspinlab import (
     quenched_moments,
     sample_disorder,
 )
-from _oracles import naive_field_table
+from _oracles import h3_pair_scan, h4_pair_grouping, naive_field_table
 
 
 def make_disorder(N, p, seed):
@@ -105,6 +109,23 @@ def test_beta_validation():
         quenched_moments(d, -0.1)
 
 
+def test_quenched_moments_independent_of_blas_threads():
+    code = (
+        "from pspinlab import ModelParams, quenched_moments, sample_disorder\n"
+        "q = quenched_moments(sample_disorder(ModelParams(18, 3), 3), 0.4)\n"
+        "print(repr((q.m2, q.m3, q.m4, q.h4, q.t_value)))\n"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_m3_vanishes_for_odd_p():
     for p in (3, 5):
         for seed in range(10):
@@ -164,6 +185,60 @@ def test_h4_quadruple_loop_oracle():
 def test_h4_budget_guard():
     with pytest.raises(ResourceLimitError):
         h4_quadruple_loop(make_disorder(12, 3, 1))
+
+
+@pytest.fixture
+def fresh_pair_plan():
+    momentlab._pair_plan.cache_clear()
+    yield momentlab._pair_plan
+    momentlab._pair_plan.cache_clear()
+
+
+def test_pair_plan_matches_per_call_oracles(fresh_pair_plan):
+    # p = 2, p = N, odd p (empty h3) and even p; equality, not closeness
+    grid = ((4, 2), (8, 2), (11, 2), (5, 5), (6, 6), (7, 3), (9, 3), (13, 5),
+            (9, 4), (12, 4), (10, 6))
+    for N, p in grid:
+        for seed in range(3):
+            d = make_disorder(N, p, 7000 + 100 * N + 10 * p + seed)
+            assert h3_representation(d) == h3_pair_scan(d)
+            assert h4_direct(d) == h4_pair_grouping(d)
+            if p % 2:
+                assert h3_representation(d) == 0.0
+
+
+def test_pair_plan_multi_block_h3(fresh_pair_plan, monkeypatch):
+    N, p = 10, 4
+    n = math.comb(N, p)
+    for rows in (1, 7, 64):
+        fresh_pair_plan.cache_clear()
+        monkeypatch.setattr(momentlab, "_H3_BLOCK_PAIRS", rows * n)
+        for seed in range(3):
+            d = make_disorder(N, p, 7500 + seed)
+            assert h3_representation(d) == h3_pair_scan(d, block_pairs=rows * n)
+        assert len(fresh_pair_plan(N, p)[0]) == -(-n // rows)
+
+
+def test_pair_plan_built_once_per_shape(fresh_pair_plan):
+    for seed in range(3):
+        d = make_disorder(10, 4, 7600 + seed)
+        h3_representation(d)
+        h4_direct(d)
+    info = fresh_pair_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+
+
+def test_pair_plan_byte_budget(fresh_pair_plan):
+    momentlab.check_pair_budget(20, 4)
+    # (22, 4) passes a cap of 2e8 pairs but its build would need ~3 GiB
+    with pytest.raises(ResourceLimitError):
+        momentlab.check_pair_budget(22, 4)
+    # n^2 = 5.6e9 alone exceeds the budget: refused before any allocation
+    d = make_disorder(22, 6, 1)
+    for fn in (h3_representation, h4_direct):
+        with pytest.raises(ResourceLimitError):
+            fn(d)
+    assert fresh_pair_plan.cache_info().currsize == 0
 
 
 def test_h4_disorder_mean_is_zero():
