@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 invalid parameters, 2 resource-limit refusal,
 3 identity-check failure.  Diagnostics go to standard error; results to
 standard output or to --out files.  PSPIN_THREADS provides the default
-for --threads.
+for --threads.  ``constants``, ``identities`` and ``tabulate-covariance
+--out`` are shorthands for ``run --mode constants|identities|tabulate``.
 """
 
 from __future__ import annotations
@@ -13,25 +14,19 @@ import json
 import sys
 from typing import Optional
 
-from .errors import (
-    IdentityCheckError,
-    InvalidParametersError,
-    PspinError,
-    ResourceLimitError,
-)
-from .harness import (
-    ExperimentConfig,
-    _constants_payload,
-    _tabulate_text,
-    _write_atomic,
-    run_experiment,
-)
+from .errors import IdentityCheckError, PspinError, ResourceLimitError
+from .harness import MODES, ExperimentConfig, run_experiment, tabulate_text
 from .model import free_energy, j_term
 from .momentlab import quenched_moments
 from .multiindex import ModelParams, sample_disorder
 from .theory import REM_BETA, beta_p
 
 __all__ = ["main", "build_parser"]
+
+# `run` settings for the flags constants and tabulate-covariance lack; they draw
+# no replicas, so they take one thread and leave PSPIN_THREADS unread.
+_RUN_DEFAULTS = {"replicas": 1, "seed": 0, "threads": 1, "format": "csv",
+                 "allow_supercritical": False}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,11 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, n=False, p=True, beta=False, sampling=False):
-        if n:
-            sp.add_argument("--n", type=int, help="number of spins")
-        if p:
-            sp.add_argument("--p", type=int, required=True, help="interaction order")
+    def common(sp, beta=False, sampling=False):
+        sp.add_argument("--p", type=int, required=True, help="interaction order")
         if beta:
             sp.add_argument("--beta", type=float, default=0.0, help="inverse temperature")
         if sampling:
@@ -56,28 +48,28 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--threads", type=int, default=None)
 
     sp = sub.add_parser("constants", help="limit constants for (p, beta)")
-    common(sp, n=True, beta=True)
+    sp.add_argument("--n", type=int, help="number of spins (default: p)")
+    common(sp, beta=True)
+    sp.set_defaults(mode="constants", out=None, **_RUN_DEFAULTS)
 
     sp = sub.add_parser("betap", help="critical temperature beta_p")
     common(sp)
 
     sp = sub.add_parser("tabulate-covariance", help="overlap-covariance table")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
+    common(sp)
     sp.add_argument("--out", help="write CSV here instead of stdout")
+    sp.set_defaults(mode="tabulate", beta=0.0, **_RUN_DEFAULTS)
 
     sp = sub.add_parser("identities", help="per-replica combinatorial identity checks")
     sp.add_argument("--n", type=int, required=True)
     common(sp, beta=True, sampling=True)
+    sp.set_defaults(mode="identities", format="csv", allow_supercritical=False)
 
     sp = sub.add_parser("run", help="disorder-replica experiment")
     sp.add_argument("--n", type=int, required=True)
     common(sp, beta=True, sampling=True)
-    sp.add_argument(
-        "--mode",
-        required=True,
-        choices=["theorem1", "theorem2", "jterm_clt", "identities", "constants", "tabulate"],
-    )
+    sp.add_argument("--mode", required=True, choices=MODES)
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
     sp.add_argument("--allow-supercritical", action="store_true")
 
@@ -93,41 +85,7 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _cmd_constants(args) -> int:
-    params = ModelParams(N=args.n if args.n else args.p, p=args.p, beta=args.beta)
-    _emit(_constants_payload(params))
-    return 0
-
-
-def _cmd_betap(args) -> int:
-    _emit({"p": args.p, "beta_p": beta_p(args.p), "rem_limit": REM_BETA})
-    return 0
-
-
-def _cmd_tabulate(args) -> int:
-    text = _tabulate_text(args.n, args.p)
-    if args.out:
-        _write_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-def _cmd_identities(args) -> int:
-    config = ExperimentConfig(
-        params=ModelParams(N=args.n, p=args.p, beta=args.beta),
-        replicas=args.replicas,
-        base_seed=args.seed,
-        mode="identities",
-        output_path=args.out,
-    )
-    report = run_experiment(config, threads=args.threads)
-    doc = report.to_json_dict()
-    _emit(doc)
-    return 0 if doc["all_pass"] else 3
-
-
-def _cmd_run(args) -> int:
+def _run(args):
     config = ExperimentConfig(
         params=ModelParams(N=args.n, p=args.p, beta=args.beta),
         replicas=args.replicas,
@@ -137,12 +95,33 @@ def _cmd_run(args) -> int:
         format=args.format,
         allow_supercritical=args.allow_supercritical,
     )
-    report = run_experiment(config, threads=args.threads)
-    doc = report.to_json_dict()
-    _emit(doc)
-    if args.mode == "identities" and not doc.get("all_pass", True):
-        return 3
+    return run_experiment(config, threads=args.threads)
+
+
+def _cmd_constants(args) -> int:
+    if args.n is None:
+        args.n = args.p
+    _emit(_run(args).constants)
     return 0
+
+
+def _cmd_betap(args) -> int:
+    _emit({"p": args.p, "beta_p": beta_p(args.p), "rem_limit": REM_BETA})
+    return 0
+
+
+def _cmd_tabulate(args) -> int:
+    if args.out:
+        _run(args)
+    else:
+        sys.stdout.write(tabulate_text(args.n, args.p))
+    return 0
+
+
+def _cmd_run(args) -> int:
+    doc = _run(args).to_json_dict()
+    _emit(doc)
+    return 0 if doc.get("all_pass", True) else 3
 
 
 def _cmd_exact(args) -> int:
@@ -174,7 +153,7 @@ _DISPATCH = {
     "constants": _cmd_constants,
     "betap": _cmd_betap,
     "tabulate-covariance": _cmd_tabulate,
-    "identities": _cmd_identities,
+    "identities": _cmd_run,
     "run": _cmd_run,
     "exact": _cmd_exact,
 }
@@ -190,21 +169,11 @@ def main(argv: Optional[list] = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _DISPATCH[args.command](args)
-    except InvalidParametersError as exc:
+    except (PspinError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except IdentityCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except PspinError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, ResourceLimitError):
+            return 2
+        return 3 if isinstance(exc, IdentityCheckError) else 1
 
 
 if __name__ == "__main__":

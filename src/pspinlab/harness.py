@@ -2,16 +2,24 @@
 
 Each replica owns a seed derived by a 64-bit mixing hash of
 (base_seed, replica_index), so the sample stream is independent of
-execution order and thread count.  Workers process contiguous index
-chunks; results are merged back in index order, which makes CSV output
-and report statistics byte-reproducible for a fixed config.
+execution order and thread count.  Workers (at most one per usable CPU)
+process contiguous index chunks; results are merged back in index order,
+which makes CSV output and report statistics byte-reproducible for a
+fixed config.
 
-Modes: theorem1 and theorem2 enumerate each replica's configuration space
-in one folded half-table pass that gives the free energy and the quenched
-moments together; jterm_clt touches only the coupling vector and has no
-size budget; identities recomputes the combinatorial representations per
-replica against the unfolded full-table moments and reports worst-case
-residuals; constants and tabulate emit theory tables and need no replicas.
+What a mode does is one row of a mode table: the statistic a replica
+row contributes to the summary and the normal it is tested against,
+whether each replica enumerates 2^N states (and so falls under the
+enumeration budget), and the smallest p the mode accepts.  theorem1
+summarizes N^{p/2}(F_N - beta^2/2) against the CLT variance and theorem2
+N^a (F_N - J_N) against (mu, sigma^2); both enumerate each replica in one
+folded half-table pass that gives the free energy and the quenched
+moments together.  jterm_clt summarizes N^{p/2}(J_N - beta^2/2), touches
+only the coupling vector and has no size budget.  identities, the one
+replica mode without a statistic, recomputes the combinatorial
+representations per replica against the unfolded full-table moments and
+reports worst-case residuals.  constants and tabulate emit theory tables
+and draw no replicas.
 
 The CSV schema is fixed: replica,f_n,j_n,t_n,scaled_t1,scaled_gap,scaled_t2.
 Columns that a mode does not produce are left empty.  The JSON report
@@ -26,8 +34,10 @@ import math
 import multiprocessing
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import kolmogorov, ndtr
@@ -37,11 +47,11 @@ from .errors import InvalidParametersError, ResourceLimitError
 from .model import ENUMERATION_BUDGET, free_energy, j_term
 from .momentlab import (
     BRUTE_PAIR_N,
-    check_pair_budget,
     free_energy_and_moments,
     h3_representation,
     h4_direct,
     pair_moment_paths,
+    pair_plan,
     quenched_moments,
 )
 from .multiindex import ModelParams, derive_seed, sample_disorder
@@ -55,13 +65,51 @@ __all__ = [
     "run_experiment",
     "summarize",
     "tabulate_covariance",
+    "tabulate_text",
     "MODES",
     "CSV_HEADER",
 ]
 
-MODES = ("theorem1", "theorem2", "jterm_clt", "identities", "constants", "tabulate")
-_SAMPLING_MODES = ("theorem1", "theorem2", "jterm_clt")
-_ENUMERATION_MODES = ("theorem1", "theorem2", "identities")
+
+@dataclass(frozen=True)
+class _Mode:
+    """What one mode does that the others do not.
+
+    ``statistic(sample, params)`` is what a row adds to the summary and
+    ``target(params)`` the (mean, variance) it is tested against; a replica
+    mode without them is the identity check.
+    """
+
+    statistic: Optional[Callable] = None
+    target: Optional[Callable] = None
+    enumerates: bool = False
+    min_p: int = 2
+
+
+def _clt_target(params: ModelParams) -> tuple:
+    return 0.0, clt_variance(params.beta, params.p)
+
+
+def _theorem2_target(params: ModelParams) -> tuple:
+    lim = limit_constants(params.beta, params.p)
+    return lim.mu, lim.sigma2
+
+
+def _scaled_j(sample, params: ModelParams) -> float:
+    return params.N ** (params.p / 2.0) * (sample.j_n - params.beta * params.beta / 2.0)
+
+
+_MODE_TABLE = {
+    "theorem1": _Mode(lambda s, params: s.scaled_t1, _clt_target, enumerates=True),
+    "theorem2": _Mode(
+        lambda s, params: s.scaled_t2, _theorem2_target, enumerates=True, min_p=3
+    ),
+    "jterm_clt": _Mode(_scaled_j, _clt_target),
+    "identities": _Mode(enumerates=True),
+    "constants": _Mode(),
+    "tabulate": _Mode(),
+}
+MODES = tuple(_MODE_TABLE)
 
 CSV_HEADER = "replica,f_n,j_n,t_n,scaled_t1,scaled_gap,scaled_t2"
 
@@ -91,9 +139,14 @@ class ExperimentConfig:
             )
         if self.replicas < 1:
             raise InvalidParametersError(f"replicas={self.replicas} must be >= 1")
-        if self.mode in _SAMPLING_MODES and self.replicas < 2:
+        mode = _MODE_TABLE[self.mode]
+        if mode.statistic is not None and self.replicas < 2:
             raise InvalidParametersError(
                 f"mode {self.mode} summarizes a sample and needs replicas >= 2"
+            )
+        if self.params.p < mode.min_p:
+            raise InvalidParametersError(
+                f"mode {self.mode} needs p >= {mode.min_p}, got p={self.params.p}"
             )
         if self.format not in ("csv", "json"):
             raise InvalidParametersError(f"format {self.format!r} not in {{csv, json}}")
@@ -148,17 +201,7 @@ class ExperimentReport:
         }
         out = {"config": cfg, "wallclock_seconds": self.wallclock_seconds}
         if self.summary is not None:
-            s = self.summary
-            out.update(
-                n_samples=s.n_samples,
-                mean=s.mean,
-                variance=s.variance,
-                skewness=s.skewness,
-                ks_distance=s.ks_distance,
-                ks_pvalue=s.ks_pvalue,
-                target_mean=s.target_mean,
-                target_variance=s.target_variance,
-            )
+            out.update(vars(self.summary))
         if self.identities is not None:
             out["identities"] = self.identities
             out["all_pass"] = all(v["pass"] for v in self.identities.values())
@@ -219,80 +262,61 @@ def _resolve_threads(threads: Optional[int]) -> int:
     return threads
 
 
-def _a_exponent(params: ModelParams) -> Optional[float]:
-    if params.p < 3:
-        return None
-    return limit_constants(params.beta, params.p).a_exponent
-
-
-def _replica_tuple(config: ExperimentConfig, a_exp: Optional[float], idx: int):
+def _row(config: ExperimentConfig, a_exp: Optional[float], idx: int) -> tuple:
+    """Replica idx: (its FluctuationSample, identity residuals or None)."""
     params = config.params
-    seed = derive_seed(config.base_seed, idx)
-    disorder = sample_disorder(params, seed)
     beta = params.beta
-    if config.mode == "jterm_clt":
-        return (idx, None, j_term(disorder, beta), None, None, None, None)
-    if config.mode == "identities":
+    mode = _MODE_TABLE[config.mode]
+    disorder = sample_disorder(params, derive_seed(config.base_seed, idx))
+    j_n = j_term(disorder, beta)
+    if not mode.enumerates:
+        return FluctuationSample(idx, None, j_n, None, None, None, None), None
+    if mode.statistic is None:
         f_n = free_energy(disorder, beta)
         moments = quenched_moments(disorder, beta)
     else:
         f_n, moments = free_energy_and_moments(disorder, beta)
-    j_n = j_term(disorder, beta)
     half_p = params.N ** (params.p / 2.0)
-    scaled_t1 = half_p * (f_n - beta * beta / 2.0)
-    scaled_gap = half_p * (f_n - j_n)
-    scaled_t2 = None if a_exp is None else params.N**a_exp * (f_n - j_n)
-    row = (idx, f_n, j_n, moments.t_value, scaled_t1, scaled_gap, scaled_t2)
-    if config.mode != "identities":
-        return row
+    t1 = half_p * (f_n - beta * beta / 2.0)
+    gap = half_p * (f_n - j_n)
+    t2 = None if a_exp is None else params.N**a_exp * (f_n - j_n)
+    sample = FluctuationSample(idx, f_n, j_n, moments.t_value, t1, gap, t2)
+    if mode.statistic is not None:
+        return sample, None
     scale3 = max(abs(moments.m3), moments.m2**1.5)
-    res_h3 = abs(h3_representation(disorder) + moments.m3) / scale3
-    res_m3 = abs(moments.m3) / moments.m2**1.5 if params.p % 2 else None
     a4 = params.a_n**4
     scale4 = (
         moments.m2**2 / 8.0 + abs(moments.m4) / 24.0 + a4 / 12.0 * moments.j4_sum
     )
-    res_h4 = abs(moments.h4 - h4_direct(disorder)) / scale4
-    return row + (res_h3, res_m3, res_h4)
+    gap_rhs = half_p * (j_n - beta * beta / 2.0)
+    residuals = {
+        "h3_enumeration": abs(h3_representation(disorder) + moments.m3) / scale3,
+        "h4_decomposition": abs(moments.h4 - h4_direct(disorder)) / scale4,
+        "t1_gap_identity": abs(t1 - gap - gap_rhs) / max(abs(t1), abs(gap), 1.0),
+    }
+    if params.p % 2:
+        residuals["m3_odd_zero"] = abs(moments.m3) / moments.m2**1.5
+    return sample, residuals
 
 
-def _chunk_rows(config: ExperimentConfig, a_exp: Optional[float], bounds) -> list:
-    lo, hi = bounds
-    return [_replica_tuple(config, a_exp, idx) for idx in range(lo, hi)]
-
-
-def _csv_cell(value) -> str:
-    return "" if value is None else repr(float(value))
-
-
-def _csv_line(row) -> str:
-    cells = [str(row[0])] + [_csv_cell(v) for v in row[1:7]]
-    return ",".join(cells)
-
-
-def _sample_dict(row) -> dict:
-    keys = ("replica", "f_n", "j_n", "t_n", "scaled_t1", "scaled_gap", "scaled_t2")
-    return {k: (None if v is None else v) for k, v in zip(keys, row[:7])}
+def _csv_line(s: FluctuationSample) -> str:
+    # the fields are in CSV_HEADER order; a field the mode does not produce is empty
+    index, *values = vars(s).values()
+    return ",".join([str(index)] + ["" if v is None else repr(float(v)) for v in values])
 
 
 def _iter_rows(config: ExperimentConfig, a_exp: Optional[float], threads: int):
     m = config.replicas
-    if threads == 1 or m < 2 * threads:
+    workers = min(threads, len(os.sched_getaffinity(0)))
+    if workers == 1 or m < 2 * workers:
         for idx in range(m):
-            yield _replica_tuple(config, a_exp, idx)
+            yield _row(config, a_exp, idx)
         return
-    n_chunks = min(m, threads * 4)
-    edges = np.linspace(0, m, n_chunks + 1).astype(int)
-    bounds = [(int(edges[i]), int(edges[i + 1])) for i in range(n_chunks)]
+    # about four contiguous chunks per worker, merged back in index order
+    chunk = -(-m // (4 * workers))
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=threads) as pool:
-        jobs = [(config, a_exp, b) for b in bounds]
-        for rows in pool.imap(_chunk_rows_star, jobs):
-            yield from rows
-
-
-def _chunk_rows_star(args):
-    return _chunk_rows(*args)
+    with ctx.Pool(processes=workers) as pool:
+        yield from pool.imap(partial(_row, config, a_exp), range(m), chunksize=chunk)
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -305,24 +329,11 @@ def _write_atomic(path: str, text: str) -> None:
 def _constants_payload(params: ModelParams) -> dict:
     beta = params.beta
     p = params.p
-    payload = {
-        "p": p,
-        "beta": beta,
-        "beta_p": beta_p(p),
-        "clt_variance": clt_variance(beta, p),
-        "mu": None,
-        "sigma2": None,
-        "a_exponent": None,
-        "alpha_exponent": None,
-    }
-    if p >= 3:
-        lim = limit_constants(beta, p)
-        payload.update(
-            mu=lim.mu,
-            sigma2=lim.sigma2,
-            a_exponent=lim.a_exponent,
-            alpha_exponent=lim.alpha_exponent,
-        )
+    payload = dict(p=p, beta=beta, beta_p=beta_p(p), clt_variance=clt_variance(beta, p))
+    # the second theorem's constants exist for p >= 3 only; None below that
+    lim = limit_constants(beta, p) if p >= 3 else None
+    for key in ("mu", "sigma2", "a_exponent", "alpha_exponent"):
+        payload[key] = getattr(lim, key, None)
     return payload
 
 
@@ -344,46 +355,62 @@ def tabulate_covariance(N: int, p: int) -> list:
     return rows
 
 
-def _tabulate_text(N: int, p: int) -> str:
+def tabulate_text(N: int, p: int) -> str:
+    """The covariance table as CSV text, header m,f_exact,f_series,he_limit."""
     lines = ["m,f_exact,f_series,he_limit"]
     for m, f_exact, f_series, he_limit in tabulate_covariance(N, p):
         lines.append(f"{m!r},{f_exact!r},{f_series!r},{he_limit!r}")
     return "\n".join(lines) + "\n"
 
 
-def _identity_report(config: ExperimentConfig, rows: list) -> dict:
-    params = config.params
-    worst = {"h3_enumeration": 0.0, "h4_decomposition": 0.0, "t1_gap_identity": 0.0}
-    if params.p % 2:
-        worst["m3_odd_zero"] = 0.0
-    half_p = params.N ** (params.p / 2.0)
-    target = params.beta * params.beta / 2.0
-    for row in rows:
-        _, _, j_n, _, t1, gap, _, res_h3, res_m3, res_h4 = row
-        worst["h3_enumeration"] = max(worst["h3_enumeration"], res_h3)
-        worst["h4_decomposition"] = max(worst["h4_decomposition"], res_h4)
-        if res_m3 is not None:
-            worst["m3_odd_zero"] = max(worst["m3_odd_zero"], res_m3)
-        lhs = t1 - gap
-        rhs = half_p * (j_n - target)
-        res_gap = abs(lhs - rhs) / max(abs(t1), abs(gap), 1.0)
-        worst["t1_gap_identity"] = max(worst["t1_gap_identity"], res_gap)
+def _identity_report(params: ModelParams, rows: list) -> dict:
+    # a running max from 0.0 in replica order (a NaN residual compares False)
+    worst = {name: max([0.0] + [res[name] for _, res in rows]) for name in rows[0][1]}
     if params.N <= BRUTE_PAIR_N:
-        res_pair = 0.0
-        for k in (1, 2, 3, 4):
-            path_a, path_b = pair_moment_paths(params.N, params.p, k)
-            if path_a != path_b:
-                res_pair = max(res_pair, abs(float(path_a - path_b)))
-        worst["pair_moment_paths"] = res_pair
-    report = {}
-    for name, residual in worst.items():
-        tol = _IDENTITY_TOLERANCES[name]
-        report[name] = {
+        paths = [pair_moment_paths(params.N, params.p, k) for k in (1, 2, 3, 4)]
+        gaps = [abs(float(a - b)) for a, b in paths if a != b]
+        worst["pair_moment_paths"] = max([0.0] + gaps)
+    return {
+        name: {
             "max_residual": residual,
-            "tolerance": tol,
-            "pass": bool(residual <= tol),
+            "tolerance": _IDENTITY_TOLERANCES[name],
+            "pass": bool(residual <= _IDENTITY_TOLERANCES[name]),
         }
-    return report
+        for name, residual in worst.items()
+    }
+
+
+def _replica_rows(config: ExperimentConfig, mode: _Mode, threads: int) -> tuple:
+    """(rows, supercritical) for a replica mode, streaming its CSV if asked."""
+    params = config.params
+    critical = beta_p(params.p) if params.p >= 3 else 1.0
+    supercritical = params.beta >= critical
+    if supercritical and not config.allow_supercritical:
+        raise InvalidParametersError(
+            f"beta={params.beta} is not below beta_p({params.p})={critical:.6f}; "
+            f"pass allow_supercritical to run anyway"
+        )
+    if mode.enumerates and params.N > ENUMERATION_BUDGET:
+        raise ResourceLimitError(
+            f"mode {config.mode} enumerates 2^N states and is capped at "
+            f"N <= {ENUMERATION_BUDGET}; got N={params.N}"
+        )
+    a_exp = None
+    if mode.statistic is None:
+        # built here, before any pool forks, so workers share it copy-on-write
+        pair_plan(params.N, params.p)
+    elif mode.enumerates and params.p >= 3:
+        a_exp = limit_constants(params.beta, params.p).a_exponent
+    rows = []
+    write_csv = mode.statistic is not None and config.output_path and config.format == "csv"
+    with open(config.output_path, "w") if write_csv else nullcontext() as csv_fh:
+        if write_csv:
+            csv_fh.write(CSV_HEADER + "\n")
+        for row in _iter_rows(config, a_exp, threads):
+            rows.append(row)
+            if write_csv:
+                csv_fh.write(_csv_line(row[0]) + "\n")
+    return rows, supercritical
 
 
 def run_experiment(
@@ -398,119 +425,39 @@ def run_experiment(
     t0 = time.perf_counter()
     threads = _resolve_threads(threads)
     params = config.params
-    mode = config.mode
-
-    if mode == "constants":
-        payload = _constants_payload(params)
-        report = ExperimentReport(
-            config=config,
-            samples=[],
-            summary=None,
-            identities=None,
-            constants=payload,
-            supercritical=False,
-            wallclock_seconds=time.perf_counter() - t0,
-        )
-        if config.output_path:
-            _write_atomic(
-                config.output_path,
-                json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
-            )
-        return report
-
-    if mode == "tabulate":
-        text = _tabulate_text(params.N, params.p)
+    mode = _MODE_TABLE[config.mode]
+    rows, summary, identities, constants, supercritical = [], None, None, None, False
+    if config.mode == "constants":
+        constants = _constants_payload(params)
+    elif config.mode == "tabulate":
+        text = tabulate_text(params.N, params.p)
         if config.output_path:
             _write_atomic(config.output_path, text)
-        report = ExperimentReport(
-            config=config,
-            samples=[],
-            summary=None,
-            identities=None,
-            constants={"rows": len(text.splitlines()) - 1},
-            supercritical=False,
-            wallclock_seconds=time.perf_counter() - t0,
-        )
-        return report
-
-    critical = beta_p(params.p) if params.p >= 3 else 1.0
-    supercritical = params.beta >= critical
-    if supercritical and not config.allow_supercritical:
-        raise InvalidParametersError(
-            f"beta={params.beta} is not below beta_p({params.p})={critical:.6f}; "
-            f"pass allow_supercritical to run anyway"
-        )
-    if mode in _ENUMERATION_MODES and params.N > ENUMERATION_BUDGET:
-        raise ResourceLimitError(
-            f"mode {mode} enumerates 2^N states and is capped at "
-            f"N <= {ENUMERATION_BUDGET}; got N={params.N}"
-        )
-    if mode == "identities":
-        check_pair_budget(params.N, params.p)
-
-    a_exp = _a_exponent(params) if mode in ("theorem1", "theorem2") else None
-
-    csv_fh = None
-    if config.output_path and config.format == "csv" and mode in _SAMPLING_MODES:
-        csv_fh = open(config.output_path, "w")
-        csv_fh.write(CSV_HEADER + "\n")
-
-    rows = []
-    try:
-        for row in _iter_rows(config, a_exp, threads):
-            rows.append(row)
-            if csv_fh is not None:
-                csv_fh.write(_csv_line(row) + "\n")
-    finally:
-        if csv_fh is not None:
-            csv_fh.close()
-
-    samples = [FluctuationSample(*row[:7]) for row in rows]
-
-    identities = None
-    summary = None
-    if mode == "identities":
-        identities = _identity_report(config, rows)
+        constants = {"rows": len(text.splitlines()) - 1}
     else:
-        beta = params.beta
-        if mode == "jterm_clt":
-            half_p = params.N ** (params.p / 2.0)
-            stat = [half_p * (s.j_n - beta * beta / 2.0) for s in samples]
-            target_mean, target_var = 0.0, clt_variance(beta, params.p)
-        elif mode == "theorem1":
-            stat = [s.scaled_t1 for s in samples]
-            target_mean, target_var = 0.0, clt_variance(beta, params.p)
+        rows, supercritical = _replica_rows(config, mode, threads)
+        if mode.statistic is None:
+            identities = _identity_report(params, rows)
         else:
-            lim = limit_constants(beta, params.p)
-            stat = [s.scaled_t2 for s in samples]
-            target_mean, target_var = lim.mu, lim.sigma2
-        summary = summarize(stat, target_mean, target_var)
-
+            stat = [mode.statistic(sample, params) for sample, _ in rows]
+            summary = summarize(stat, *mode.target(params))
+    samples = [sample for sample, _ in rows]
     report = ExperimentReport(
         config=config,
         samples=samples,
         summary=summary,
         identities=identities,
-        constants=None,
+        constants=constants,
         supercritical=supercritical,
         wallclock_seconds=time.perf_counter() - t0,
     )
-
-    if config.output_path:
-        if mode in _SAMPLING_MODES and config.format == "json":
-            doc = report.to_json_dict()
-            doc["samples"] = [_sample_dict(row) for row in rows]
-            _write_atomic(
-                config.output_path, json.dumps(doc, indent=2, sort_keys=True) + "\n"
-            )
-        elif mode in _SAMPLING_MODES:
-            _write_atomic(
-                config.output_path + ".report.json",
-                json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
-            )
-        else:
-            _write_atomic(
-                config.output_path,
-                json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
-            )
+    if config.output_path and config.mode != "tabulate":
+        doc = report.to_json_dict()
+        path = config.output_path
+        if summary is not None and config.format == "json":
+            keys = CSV_HEADER.split(",")
+            doc["samples"] = [dict(zip(keys, vars(s).values())) for s in samples]
+        elif summary is not None:
+            path += ".report.json"
+        _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return report

@@ -34,7 +34,6 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from numpy.random import Philox
 
 from .covariance import covariance_numerator
 from .errors import IdentityCheckError, InvalidParametersError, ResourceLimitError
@@ -42,9 +41,9 @@ from .model import field_chunks, partition_and_power_sums
 from .multiindex import (
     Disorder,
     ModelParams,
-    _philox_key,
     derive_seed,
     mask_table,
+    philox_words,
     sample_disorder,
 )
 
@@ -56,6 +55,7 @@ __all__ = [
     "h4_statistic",
     "h4_direct",
     "check_pair_budget",
+    "pair_plan",
     "h4_quadruple_loop",
     "exact_first_moment",
     "first_moment_expansion",
@@ -68,7 +68,8 @@ __all__ = [
 
 # Building the pair plan peaks at 49-61 B per coupling pair (tracemalloc,
 # n = 495..3060, p = 3..5: n^2 uint64 differences, np.unique's sort and
-# inverse); a call adds 16 B.  Per process: each worker builds its own.
+# inverse); a call adds 16 B.  The harness builds the plan before its pool
+# forks, so workers share the parent's copy.
 _PLAN_BYTES_PER_PAIR = 64
 _PLAN_BYTE_BUDGET = 2 * 2**30
 _H3_BLOCK_PAIRS = 25_000_000  # h3 row block = this // n rows; block sums add in order
@@ -155,7 +156,7 @@ def h3_representation(disorder: Disorder) -> float:
     params = disorder.params
     couplings = disorder.couplings
     total = 0.0
-    for a, b, c in _pair_plan(params.N, params.p)[0]:
+    for a, b, c in pair_plan(params.N, params.p)[0]:
         product = couplings.take(a) * couplings.take(b) * couplings.take(c)
         total += float(np.sum(product))
     return params.a_n**3 * total
@@ -182,7 +183,7 @@ def h4_direct(disorder: Disorder) -> float:
     group 0 is v = 0, the diagonal A = B, and is dropped.
     """
     params = disorder.params
-    groups = _pair_plan(params.N, params.p)[1]
+    groups = pair_plan(params.N, params.p)[1]
     couplings = disorder.couplings
     outer = (couplings[:, None] * couplings[None, :]).ravel()
     t_by_diff = np.bincount(groups, weights=outer)[1:]
@@ -203,7 +204,7 @@ def check_pair_budget(N: int, p: int) -> None:
 
 
 @lru_cache(maxsize=1)
-def _pair_plan(N: int, p: int) -> tuple:
+def pair_plan(N: int, p: int) -> tuple:
     """(h3 blocks, h4 groups), read-only, shared by every disorder.
 
     h3: per row block with hits, the (3, k) int32 ranks A, B, C = A xor B of
@@ -322,9 +323,8 @@ def first_moment_mc(
     for r in range(replicas):
         rep_seed = derive_seed(base_seed, r)
         disorder = sample_disorder(params, rep_seed)
-        states = Philox(key=_philox_key(derive_seed(rep_seed, _SIGMA_TAG))).random_raw(
-            sigma_samples
-        ) & np.uint64((1 << N) - 1)
+        sigma_seed = derive_seed(rep_seed, _SIGMA_TAG)
+        states = philox_words(sigma_seed, sigma_samples) & np.uint64((1 << N) - 1)
         parity = (np.bitwise_count(masks[None, :] & states[:, None]) & np.uint64(1)).astype(
             np.float64
         )

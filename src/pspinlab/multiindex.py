@@ -46,6 +46,7 @@ __all__ = [
     "index_to_mask",
     "mask_to_index",
     "mask_table",
+    "philox_words",
     "sample_disorder",
     "coupling_entry",
     "derive_seed",
@@ -218,11 +219,15 @@ def _mask_table_cached(N: int, p: int) -> np.ndarray:
     return masks
 
 
-def _philox_key(seed: int) -> int:
+def philox_words(seed: int, count: int, block: int = 0) -> np.ndarray:
+    """``count`` raw 64-bit words of the Philox stream keyed on ``seed``.
+
+    The stream counts in 4-word blocks; it is read from block ``block`` on.
+    """
     # 128-bit key from the 64-bit seed; two independent mixes
     lo = derive_seed(seed, 0x6B79)
     hi = derive_seed(seed, 0x9D39)
-    return lo | (hi << 64)
+    return Philox(key=lo | (hi << 64), counter=[block, 0, 0, 0]).random_raw(count)
 
 
 def _raw_to_normal(raw: np.ndarray) -> np.ndarray:
@@ -239,7 +244,7 @@ def sample_disorder(params: ModelParams, seed: int) -> Disorder:
     stream position of entry r is r itself (see :func:`coupling_entry`).
     """
     seed = seed & _MASK64
-    raw = Philox(key=_philox_key(seed)).random_raw(params.n_couplings)
+    raw = philox_words(seed, params.n_couplings)
     return Disorder(params=params, seed=seed, couplings=_raw_to_normal(raw))
 
 
@@ -251,9 +256,7 @@ def coupling_entry(params: ModelParams, seed: int, r: int) -> float:
     """
     if not (0 <= r < params.n_couplings):
         raise InvalidParametersError(f"coupling rank {r} out of range")
-    seed = seed & _MASK64
-    bg = Philox(key=_philox_key(seed), counter=[r >> 2, 0, 0, 0])
-    block = bg.random_raw(4)
+    block = philox_words(seed & _MASK64, 4, r >> 2)
     return float(_raw_to_normal(block[r & 3 : (r & 3) + 1])[0])
 
 

@@ -29,6 +29,16 @@ def test_constants_schema(capsys):
     assert doc["a_exponent"] == 2.0
 
 
+def test_constants_alias_prints_run_payload(capsys):
+    code, out, _ = run_cli(capsys, "constants", "--n", "7", "--p", "4", "--beta", "0.3")
+    assert code == 0
+    code, run_out, _ = run_cli(
+        capsys, "run", "--mode", "constants", "--n", "7", "--p", "4", "--beta", "0.3"
+    )
+    assert code == 0
+    assert out == json.dumps(json.loads(run_out)["constants"], indent=2, sort_keys=True) + "\n"
+
+
 def test_betap_subcommand(capsys):
     code, out, _ = run_cli(capsys, "betap", "--p", "7")
     assert code == 0
@@ -53,6 +63,19 @@ def test_tabulate_out_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert path.read_text().splitlines()[0] == "m,f_exact,f_series,he_limit"
+
+
+def test_tabulate_alias_writes_run_bytes(capsys, tmp_path):
+    code, out, _ = run_cli(
+        capsys, "tabulate-covariance", "--n", "9", "--p", "4", "--out", str(tmp_path / "a.csv")
+    )
+    assert code == 0 and out == ""
+    code, _, _ = run_cli(
+        capsys, "run", "--mode", "tabulate", "--n", "9", "--p", "4",
+        "--out", str(tmp_path / "b.csv"),
+    )
+    assert code == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_exact_subcommand(capsys):
@@ -123,12 +146,15 @@ def test_usage_errors_exit_1(capsys):
 
 
 def test_invalid_model_parameters_exit_1(capsys):
-    code, _, err = run_cli(
-        capsys, "run", "--mode", "theorem1", "--n", "4", "--p", "9",
-        "--beta", "0.2", "--replicas", "2",
-    )
-    assert code == 1
-    assert "error:" in err
+    # an explicit --n 0 is refused, not taken for a missing --n
+    for argv, message in (
+        (["run", "--mode", "theorem1", "--n", "4", "--p", "9", "--beta", "0.2",
+          "--replicas", "2"], "N=4"),
+        (["constants", "--n", "0", "--p", "3", "--beta", "0.5"], "N=0"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
 def test_unwritable_out_exit_1(capsys, tmp_path):
@@ -152,6 +178,26 @@ def test_identities_subcommand_pass(capsys, tmp_path):
     assert doc["all_pass"]
     assert set(doc["identities"]) >= {"h3_enumeration", "h4_decomposition"}
     assert json.loads(out_path.read_text())["all_pass"]
+
+
+def test_identities_alias_matches_run(capsys, tmp_path):
+    def without_wallclock(text):
+        doc = json.loads(text)
+        doc.pop("wallclock_seconds")
+        return doc
+
+    args = ["--n", "9", "--p", "4", "--beta", "0.3", "--replicas", "6", "--seed", "11",
+            "--threads", "2"]
+    code, out, _ = run_cli(capsys, "identities", *args, "--out", str(tmp_path / "a.json"))
+    assert code == 0
+    code, run_out, _ = run_cli(
+        capsys, "run", "--mode", "identities", *args, "--out", str(tmp_path / "b.json")
+    )
+    assert code == 0
+    assert without_wallclock(out) == without_wallclock(run_out)
+    assert without_wallclock((tmp_path / "a.json").read_text()) == without_wallclock(
+        (tmp_path / "b.json").read_text()
+    )
 
 
 def test_identity_failure_exit_3(capsys, monkeypatch):

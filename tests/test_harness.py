@@ -22,7 +22,7 @@ from pspinlab import (
     summarize,
     tabulate_covariance,
 )
-from pspinlab import harness
+from pspinlab import harness, momentlab
 from pspinlab.cli import main
 from pspinlab.harness import _resolve_threads
 
@@ -115,19 +115,27 @@ def test_non_integer_threads_env_exits_1(monkeypatch, capsys):
     assert main(["run", "--mode", "constants", "--n", "3", "--p", "3", "--beta", "0.5"]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "PSPIN_THREADS" in err
+    # the constants shorthand has no --threads and draws no replicas: it reads no PSPIN_THREADS
+    assert main(["constants", "--p", "3", "--beta", "0.5"]) == 0
 
 
-def test_single_replica_sampling_rejected_before_any_replica(monkeypatch, capsys):
+def test_single_replica_sampling_rejected_before_any_replica(monkeypatch, capsys, tmp_path):
     drawn = []
     monkeypatch.setattr(harness, "sample_disorder", lambda *a: drawn.append(a))
-    for mode in ("theorem1", "theorem2", "jterm_clt"):
+    # (mode, p, replicas, expected message); theorem2's constants need p >= 3
+    cases = [(mode, 3, 1, "replicas >= 2") for mode in ("theorem1", "theorem2", "jterm_clt")]
+    cases.append(("theorem2", 2, 40, "p >= 3"))
+    for mode, p, replicas, message in cases:
         with pytest.raises(InvalidParametersError):
-            config(10, 3, 0.4, mode, 1)
-        argv = ["run", "--mode", mode, "--n", "10", "--p", "3", "--beta", "0.4",
-                "--replicas", "1"]
+            config(10, p, 0.4, mode, replicas)
+        out = tmp_path / f"{mode}-p{p}.csv"
+        argv = ["run", "--mode", mode, "--n", "10", "--p", str(p), "--beta", "0.4",
+                "--replicas", str(replicas), "--out", str(out)]
         assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not out.exists()
     assert drawn == []
-    assert "replicas >= 2" in capsys.readouterr().err
     config(10, 3, 0.4, "identities", 1)
 
 
@@ -273,6 +281,40 @@ def test_identities_pair_budget_before_first_replica(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: pair plan") and err.count("\n") == 1
+
+
+def test_identities_pair_plan_built_in_parent():
+    # forked workers share the parent's plan instead of each building one
+    momentlab.pair_plan.cache_clear()
+    run_experiment(config(9, 4, 0.3, "identities", 6, seed=4), threads=2)
+    assert momentlab.pair_plan.cache_info().currsize == 1
+    momentlab.pair_plan.cache_clear()
+
+
+def test_pool_capped_at_usable_cpus(monkeypatch):
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    class FakeContext:
+        Pool = SerialPool
+
+    started = []
+    monkeypatch.setattr(harness.multiprocessing, "get_context", lambda method: FakeContext())
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    serial = run_experiment(config(9, 3, 0.4, "theorem1", 40, seed=3), threads=1)
+    capped = run_experiment(config(9, 3, 0.4, "theorem1", 40, seed=3), threads=10**6)
+    assert started == [3]
+    assert capped.samples == serial.samples and capped.summary == serial.summary
 
 
 def test_identities_mode_report():

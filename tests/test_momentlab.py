@@ -189,9 +189,9 @@ def test_h4_budget_guard():
 
 @pytest.fixture
 def fresh_pair_plan():
-    momentlab._pair_plan.cache_clear()
-    yield momentlab._pair_plan
-    momentlab._pair_plan.cache_clear()
+    momentlab.pair_plan.cache_clear()
+    yield momentlab.pair_plan
+    momentlab.pair_plan.cache_clear()
 
 
 def test_pair_plan_matches_per_call_oracles(fresh_pair_plan):
