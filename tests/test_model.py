@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -203,6 +206,24 @@ def test_j_term_equals_scaled_second_moment():
     x = naive_field_table(d)
     h2 = 8 * np.mean(x * x)
     assert j_term(d, beta) == pytest.approx(beta**2 / (2 * 8) * h2, rel=1e-12)
+
+
+def test_j_term_independent_of_blas_threads():
+    # 19600 couplings: long enough that a BLAS dot would split its sum
+    code = (
+        "from pspinlab import ModelParams, j_term, sample_disorder\n"
+        "params = ModelParams(50, 3)\n"
+        "print([repr(j_term(sample_disorder(params, s), 0.5)) for s in range(6)])\n"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_annealed_free_energy_mean():
