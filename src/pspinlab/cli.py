@@ -16,8 +16,8 @@ from typing import Optional
 
 from .errors import IdentityCheckError, PspinError, ResourceLimitError
 from .harness import MODES, ExperimentConfig, run_experiment, tabulate_text
-from .model import free_energy, j_term
-from .momentlab import quenched_moments
+from .model import j_term
+from .momentlab import free_energy_and_moments
 from .multiindex import ModelParams, sample_disorder
 from .theory import REM_BETA, beta_p
 
@@ -114,7 +114,8 @@ def _cmd_tabulate(args) -> int:
     if args.out:
         _run(args)
     else:
-        sys.stdout.write(tabulate_text(args.n, args.p))
+        params = ModelParams(N=args.n, p=args.p)
+        sys.stdout.write(tabulate_text(params.N, params.p))
     return 0
 
 
@@ -127,9 +128,8 @@ def _cmd_run(args) -> int:
 def _cmd_exact(args) -> int:
     params = ModelParams(N=args.n, p=args.p, beta=args.beta)
     disorder = sample_disorder(params, args.seed)
-    f_n = free_energy(disorder, args.beta)
+    f_n, moments = free_energy_and_moments(disorder, args.beta, half=False)
     j_n = j_term(disorder, args.beta)
-    moments = quenched_moments(disorder, args.beta)
     _emit(
         {
             "n": args.n,

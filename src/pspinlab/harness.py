@@ -12,14 +12,15 @@ row contributes to the summary and the normal it is tested against,
 whether each replica enumerates 2^N states (and so falls under the
 enumeration budget), and the smallest p the mode accepts.  theorem1
 summarizes N^{p/2}(F_N - beta^2/2) against the CLT variance and theorem2
-N^a (F_N - J_N) against (mu, sigma^2); both enumerate each replica in one
-folded half-table pass that gives the free energy and the quenched
-moments together.  jterm_clt summarizes N^{p/2}(J_N - beta^2/2), touches
-only the coupling vector and has no size budget.  identities, the one
-replica mode without a statistic, recomputes the combinatorial
-representations per replica against the unfolded full-table moments and
-reports worst-case residuals.  constants and tabulate emit theory tables
-and draw no replicas.
+N^a (F_N - J_N) against (mu, sigma^2).  jterm_clt summarizes
+N^{p/2}(J_N - beta^2/2), touches only the coupling vector and has no size
+budget.  identities, the one replica mode without a statistic, recomputes
+the combinatorial representations per replica against the quenched
+moments and reports worst-case residuals.  Every enumerating replica makes
+one pass that gives the free energy and the moments together: folded on
+the global flip in the theorem modes, unfolded for identities, so that
+E[H^3] = 0 at odd p is checked as a real cancellation.  constants and
+tabulate emit theory tables and draw no replicas.
 
 The CSV schema is fixed: replica,f_n,j_n,t_n,scaled_t1,scaled_gap,scaled_t2.
 Columns that a mode does not produce are left empty.  The JSON report
@@ -44,7 +45,7 @@ from scipy.special import kolmogorov, ndtr
 
 from .covariance import expansion_approx, exact_covariance, hermite, overlap_grid
 from .errors import InvalidParametersError, ResourceLimitError
-from .model import ENUMERATION_BUDGET, free_energy, j_term
+from .model import ENUMERATION_BUDGET, j_term
 from .momentlab import (
     BRUTE_PAIR_N,
     free_energy_and_moments,
@@ -52,7 +53,6 @@ from .momentlab import (
     h4_direct,
     pair_moment_paths,
     pair_plan,
-    quenched_moments,
 )
 from .multiindex import ModelParams, derive_seed, sample_disorder
 from .theory import beta_p, clt_variance, limit_constants
@@ -228,7 +228,8 @@ def summarize(
         )
     mean = float(x.mean())
     centered = x - mean
-    variance = float(np.dot(centered, centered) / (n - 1))
+    # einsum, not np.dot: a long BLAS dot splits its sum by thread count
+    variance = float(np.einsum("i,i->", centered, centered) / (n - 1))
     if variance > 0.0:
         skewness = float(np.mean(centered**3) / np.mean(centered**2) ** 1.5)
     else:
@@ -271,11 +272,7 @@ def _row(config: ExperimentConfig, a_exp: Optional[float], idx: int) -> tuple:
     j_n = j_term(disorder, beta)
     if not mode.enumerates:
         return FluctuationSample(idx, None, j_n, None, None, None, None), None
-    if mode.statistic is None:
-        f_n = free_energy(disorder, beta)
-        moments = quenched_moments(disorder, beta)
-    else:
-        f_n, moments = free_energy_and_moments(disorder, beta)
+    f_n, moments = free_energy_and_moments(disorder, beta, half=mode.statistic is not None)
     half_p = params.N ** (params.p / 2.0)
     t1 = half_p * (f_n - beta * beta / 2.0)
     gap = half_p * (f_n - j_n)
@@ -364,12 +361,12 @@ def tabulate_text(N: int, p: int) -> str:
 
 
 def _identity_report(params: ModelParams, rows: list) -> dict:
-    # a running max from 0.0 in replica order (a NaN residual compares False)
-    worst = {name: max([0.0] + [res[name] for _, res in rows]) for name in rows[0][1]}
+    # np.max, not max(): a NaN residual must propagate and fail its check
+    worst = {name: float(np.max([0.0] + [res[name] for _, res in rows])) for name in rows[0][1]}
     if params.N <= BRUTE_PAIR_N:
         paths = [pair_moment_paths(params.N, params.p, k) for k in (1, 2, 3, 4)]
         gaps = [abs(float(a - b)) for a, b in paths if a != b]
-        worst["pair_moment_paths"] = max([0.0] + gaps)
+        worst["pair_moment_paths"] = float(np.max([0.0] + gaps))
     return {
         name: {
             "max_residual": residual,

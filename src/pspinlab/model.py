@@ -15,14 +15,15 @@ enumeration engines coexist:
   into subcubes over the low bits (fixed high bits reduce to a smaller
   scattered vector) and partial results are merged by running logsumexp.
 
-Partition sums exploit the global-flip symmetry X(~s) = (-1)^p X(s): only
-the half-space with the top spin up is transformed, and the mirrored half
-enters as exp(-y) (p odd) or a factor 2 (p even).  The fold is checked
-against the unfolded sum in the test suite.  :func:`partition_and_power_sums`
-is the single pass over that half table: it yields ln Z_N together with the
-sums of X^2, X^3, X^4 the quenched moments need, so a theorem replica
-transforms one 2^(N-1) table; :func:`log_partition` and :func:`free_energy`
-are thin callers of it.
+:func:`partition_and_power_sums` is the one pass over the field table: it
+yields ln Z_N together with the sums of X^2, X^3, X^4 the quenched moments
+need, so every replica transforms one table.  By default it folds on the
+global-flip symmetry X(~s) = (-1)^p X(s): only the half-space with the top
+spin up is transformed, and the mirrored half enters as exp(-y) (p odd) or
+a factor 2 (p even).  Unfolded, it sums the full 2^N table, so for odd p
+the vanishing of the X^3 sum is a genuine cancellation.  The fold is checked
+against the unfolded sum in the test suite; :func:`log_partition` and
+:func:`free_energy` are thin callers of the folded pass.
 """
 
 from __future__ import annotations
@@ -256,14 +257,16 @@ def field_chunks(disorder: Disorder, half: bool = False, chunk_bits: int = _CHUN
         yield table
 
 
-def partition_and_power_sums(disorder: Disorder, beta: float) -> tuple:
+def partition_and_power_sums(disorder: Disorder, beta: float, half: bool = True) -> tuple:
     """ln Z_N(beta) and the sums of X^2, X^3, X^4 over all 2^N states.
 
-    One pass over the half table.  ln Z_N = ln E_sigma e^{beta sqrt(N) X}
+    One pass over the field table.  ln Z_N = ln E_sigma e^{beta sqrt(N) X}
     is accumulated in log domain with a running maximum, safe for
-    beta sqrt(N) max|X| up to the exp overflow threshold.  The mirrored
-    half X(~s) = (-1)^p X(s) doubles the even powers; the odd power
-    doubles for even p and cancels to exactly 0 for odd p.
+    beta sqrt(N) max|X| up to the exp overflow threshold.  With ``half``
+    only the half table is transformed: the mirrored half
+    X(~s) = (-1)^p X(s) doubles the even powers, and the odd power doubles
+    for even p and cancels to exactly 0 for odd p.  Without it the full
+    table is summed as it stands.
     """
     params = disorder.params
     if not (beta >= 0.0):
@@ -272,18 +275,18 @@ def partition_and_power_sums(disorder: Disorder, beta: float) -> tuple:
     if not np.all(np.isfinite(disorder.couplings)):
         raise DataError("non-finite coupling encountered")
     scale = beta * math.sqrt(params.N)
-    odd = params.p % 2 == 1
+    mirror_odd = half and params.p % 2 == 1
     running_max = -math.inf
     acc = s2 = s3 = s4 = 0.0
-    for chunk in field_chunks(disorder, half=True):
+    for chunk in field_chunks(disorder, half=half):
         buf = chunk * chunk
         s2 += float(buf.sum())
         # einsum, not np.dot: a BLAS dot splits its sum by thread count
-        if not odd:
+        if not mirror_odd:
             s3 += float(np.einsum("i,i->", buf, chunk))
         s4 += float(np.einsum("i,i->", buf, buf))
         y = np.multiply(chunk, scale, out=chunk)
-        for part in range(2 if odd else 1):
+        for part in range(2 if mirror_odd else 1):
             if part:
                 np.negative(y, out=y)
             m = float(y.max())
@@ -292,10 +295,11 @@ def partition_and_power_sums(disorder: Disorder, beta: float) -> tuple:
                 running_max = m
             np.subtract(y, m, out=buf)
             acc += float(np.exp(buf, out=buf).sum()) * math.exp(m - running_max)
-    if not odd:
-        acc *= 2.0
+    fold = 2.0 if half else 1.0
+    if not mirror_odd:
+        acc *= fold
     log_z = running_max + math.log(acc) - params.N * math.log(2.0)
-    return log_z, 2.0 * s2, 2.0 * s3, 2.0 * s4
+    return log_z, fold * s2, fold * s3, fold * s4
 
 
 def log_partition(disorder: Disorder, beta: float) -> float:

@@ -1,6 +1,8 @@
 """Quenched moments, their combinatorial representations, and disorder laws.
 
-E_sigma[H^k] for k = 2, 3, 4 come from a single enumeration pass.  The same
+E_sigma[H^k] for k = 2, 3, 4 come from the model's one enumeration pass,
+folded on the global flip in the theorem modes and unfolded for the
+identity checks, where E[H^3] = 0 at odd p must cancel for real.  The same
 quantities have enumeration-free combinatorial forms built from bitmask
 algebra: a product sigma_A sigma_B ... averages to 1 exactly when the
 symmetric difference of the index sets is empty, and to 0 otherwise.  That
@@ -37,7 +39,7 @@ import numpy as np
 
 from .covariance import covariance_numerator
 from .errors import IdentityCheckError, InvalidParametersError, ResourceLimitError
-from .model import field_chunks, partition_and_power_sums
+from .model import partition_and_power_sums
 from .multiindex import (
     Disorder,
     ModelParams,
@@ -95,31 +97,19 @@ class QuenchedMoments:
 
 
 def quenched_moments(disorder: Disorder, beta: float) -> QuenchedMoments:
-    """Moments by one enumeration sweep accumulating H..H^4 averages.
+    """E_sigma[H^k], k = 2..4, from the unfolded pass over all 2^N states."""
+    return free_energy_and_moments(disorder, beta, half=False)[1]
 
-    The sweep is the chunked hypercube pass of the model engine; no
-    symmetry folding is applied, so for odd p the vanishing of E[H^3] is a
-    genuine cancellation, not a construction.
+
+def free_energy_and_moments(disorder: Disorder, beta: float, half: bool = True) -> tuple:
+    """(F_N(beta), quenched moments) from one enumeration pass.
+
+    With ``half`` the pass is folded and F_N is bit-identical to
+    :func:`free_energy`, but for odd p the fold makes E[H^3] exactly 0.
+    Unfolded, every state is summed, so that vanishing is a genuine
+    cancellation.
     """
-    if not (beta >= 0.0):
-        raise InvalidParametersError(f"beta={beta} must be >= 0")
-    s2 = s3 = s4 = 0.0
-    for chunk in field_chunks(disorder):
-        x2 = chunk * chunk
-        s2 += float(x2.sum())
-        # einsum, not np.dot: a BLAS dot splits its sum by thread count
-        s3 += float(np.einsum("i,i->", x2, chunk))
-        s4 += float(np.einsum("i,i->", x2, x2))
-    return _moments_from_sums(disorder, beta, s2, s3, s4)
-
-
-def free_energy_and_moments(disorder: Disorder, beta: float) -> tuple:
-    """(F_N(beta), quenched moments) from one folded half-table pass.
-
-    F_N is bit-identical to :func:`free_energy`; for odd p the fold makes
-    E[H^3] exactly 0, so :func:`quenched_moments` stays the unfolded check.
-    """
-    log_z, s2, s3, s4 = partition_and_power_sums(disorder, beta)
+    log_z, s2, s3, s4 = partition_and_power_sums(disorder, beta, half=half)
     return log_z / disorder.params.N, _moments_from_sums(disorder, beta, s2, s3, s4)
 
 

@@ -151,6 +151,8 @@ def test_invalid_model_parameters_exit_1(capsys):
         (["run", "--mode", "theorem1", "--n", "4", "--p", "9", "--beta", "0.2",
           "--replicas", "2"], "N=4"),
         (["constants", "--n", "0", "--p", "3", "--beta", "0.5"], "N=0"),
+        (["tabulate-covariance", "--n", "6", "--p", "1"], "p=1"),
+        (["tabulate-covariance", "--n", "70", "--p", "3"], "N=70"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
@@ -253,14 +255,14 @@ def test_parser_subcommands_complete():
 
 
 def test_jterm_cli_rerun_byte_identical(capsys, tmp_path):
-    # the heavy determinism example: 10^5 replicas, run twice
+    # the heavy determinism example: 10^5 replicas, run serial and on two workers
     args = [
         "run", "--mode", "jterm_clt", "--n", "50", "--p", "3", "--beta", "0.5",
         "--replicas", "100000", "--seed", "7",
     ]
     code, _, _ = run_cli(capsys, *args, "--out", str(tmp_path / "a.csv"))
     assert code == 0
-    code, _, _ = run_cli(capsys, *args, "--out", str(tmp_path / "b.csv"))
+    code, _, _ = run_cli(capsys, *args, "--out", str(tmp_path / "b.csv"), "--threads", "2")
     assert code == 0
     a = (tmp_path / "a.csv").read_bytes()
     assert a == (tmp_path / "b.csv").read_bytes()

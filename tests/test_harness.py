@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -86,6 +88,25 @@ def test_summarize_bounds():
     assert 0.0 <= s.ks_distance <= 1.0
     assert 0.0 <= s.ks_pvalue <= 1.0
     assert s.variance >= 0.0
+
+
+def test_summarize_independent_of_blas_threads():
+    # 10^5 samples: long enough that a BLAS dot would split its sum
+    code = (
+        "import numpy as np\n"
+        "from pspinlab import summarize\n"
+        "x = np.random.default_rng(5).standard_normal(100000)\n"
+        "print(repr(summarize(x, 0.0, 1.0)))\n"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_config_validation():
@@ -331,6 +352,17 @@ def test_identities_mode_report():
         assert entry["max_residual"] <= entry["tolerance"]
         assert entry["pass"]
     assert report.to_json_dict()["all_pass"]
+
+
+def test_identity_gate_fails_on_nan(monkeypatch):
+    monkeypatch.setattr(harness, "h4_direct", lambda disorder: math.nan)
+    report = run_experiment(config(9, 4, 0.5, "identities", 3, seed=2))
+    entry = report.identities["h4_decomposition"]
+    assert math.isnan(entry["max_residual"]) and not entry["pass"]
+    assert not report.to_json_dict()["all_pass"]
+    argv = ["run", "--mode", "identities", "--n", "9", "--p", "4", "--beta", "0.5",
+            "--replicas", "3", "--seed", "2"]
+    assert main(argv) == 3
 
 
 def test_identities_mode_even_p(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -23,7 +24,8 @@ from pspinlab import (
     sample_disorder,
 )
 
-from pspinlab.model import _fwht
+from pspinlab import model
+from pspinlab.model import _fwht, partition_and_power_sums
 
 from _oracles import fwht_radix2, naive_field_table, naive_log_partition
 
@@ -138,6 +140,33 @@ def test_half_table_fold_identity():
         sign = (-1.0) ** p
         mirrored = sign * full[: 1 << 8][::-1]
         assert np.allclose(full[1 << 8 :], mirrored, atol=1e-12)
+
+
+def test_multi_chunk_pass_matches_single_table(monkeypatch):
+    # 2^4-state chunks run the running-max merge that full-size tables
+    # only reach at N >= 24
+    beta, N = 0.9, 10
+    for p in (3, 4):
+        d = sample_disorder(ModelParams(N=N, p=p), 40 + p)
+        def both():
+            return {half: partition_and_power_sums(d, beta, half=half) for half in (True, False)}
+
+        single = both()
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "field_chunks", functools.partial(field_chunks, chunk_bits=4))
+            chunked = both()
+        for half in (True, False):
+            log_z, s2, s3, s4 = chunked[half]
+            assert log_z == pytest.approx(naive_log_partition(d, beta), rel=1e-12)
+            assert s2 == pytest.approx(single[half][1], rel=1e-12)
+            assert s4 == pytest.approx(single[half][3], rel=1e-12)
+            if p % 2 and half:
+                assert s3 == 0.0
+            elif p % 2:
+                # a cancellation to rounding: tolerance on the scale of E|X|^3
+                assert abs(s3 - single[half][2]) <= 1e-12 * s2**1.5 / 2.0 ** (N / 2)
+            else:
+                assert s3 == pytest.approx(single[half][2], rel=1e-12)
 
 
 def test_log_partition_zero_beta():
