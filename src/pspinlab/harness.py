@@ -203,7 +203,10 @@ class ExperimentReport:
         if self.summary is not None:
             out.update(vars(self.summary))
         if self.identities is not None:
-            out["identities"] = self.identities
+            out["identities"] = {name: dict(v) for name, v in self.identities.items()}
+            for v in out["identities"].values():
+                if not math.isfinite(v["max_residual"]):
+                    v["max_residual"] = None  # JSON has no NaN
             out["all_pass"] = all(v["pass"] for v in self.identities.values())
         if self.constants is not None:
             out["constants"] = self.constants

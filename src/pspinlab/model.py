@@ -11,19 +11,20 @@ enumeration engines coexist:
   sigma_A(s) = (-1)^{popcount(mask_A & s)}, the table of coupling sums over
   all states is the Walsh-Hadamard transform of the coupling vector
   scattered at the subset bitmasks, costing O(N 2^N) instead of
-  O(2^N binom).  For N past the in-memory table size the hypercube is split
-  into subcubes over the low bits (fixed high bits reduce to a smaller
-  scattered vector) and partial results are merged by running logsumexp.
+  O(2^N binom).  :func:`field_chunks` always cuts the hypercube into
+  cache-sized subcubes over the low bits (fixed high bits reduce to a
+  smaller scattered vector); a table that fits one chunk is built whole.
 
 :func:`partition_and_power_sums` is the one pass over the field table: it
 yields ln Z_N together with the sums of X^2, X^3, X^4 the quenched moments
-need, so every replica transforms one table.  By default it folds on the
-global-flip symmetry X(~s) = (-1)^p X(s): only the half-space with the top
-spin up is transformed, and the mirrored half enters as exp(-y) (p odd) or
-a factor 2 (p even).  Unfolded, it sums the full 2^N table, so for odd p
-the vanishing of the X^3 sum is a genuine cancellation.  The fold is checked
-against the unfolded sum in the test suite; :func:`log_partition` and
-:func:`free_energy` are thin callers of the folded pass.
+need, reducing each chunk of one table while it is in cache.  By default
+it folds on the global-flip symmetry X(~s) = (-1)^p X(s): only the
+half-space with the top spin up is transformed, and the mirrored half
+enters as exp(-y) (p odd) or a factor 2 (p even).  Unfolded, it sums the
+full 2^N table, so for odd p the vanishing of the X^3 sum is a genuine
+cancellation.  The fold is checked against the unfolded sum in the test
+suite; :func:`log_partition` and :func:`free_energy` are thin callers of
+the folded pass.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ ENUMERATION_BUDGET = 30
 
 # Largest table built in one piece: 2^24 doubles = 128 MiB.
 _DIRECT_TABLE_BITS = 24
-_CHUNK_BITS = 22
 
 # FWHT blocking: 2^16 doubles (512 KiB) plus equal scratch fit in L2;
 # stages below 2^8 have rows too short for numpy and run transposed.
@@ -74,7 +74,7 @@ def gaussian_field(bits: SpinConfiguration, disorder: Disorder) -> float:
     masks = mask_table(params.N, params.p)
     parity = (np.bitwise_count(masks & np.uint64(bits)) & np.uint64(1)).astype(np.float64)
     signs = 1.0 - 2.0 * parity
-    return float(np.dot(disorder.couplings, signs) / math.sqrt(params.n_couplings))
+    return float(np.einsum("i,i->", disorder.couplings, signs) / math.sqrt(params.n_couplings))
 
 
 def hamiltonian(bits: SpinConfiguration, disorder: Disorder) -> float:
@@ -120,9 +120,8 @@ class EnergyLedger:
         masks = mask_table(params.N, params.p)
         parity = (np.bitwise_count(masks & np.uint64(self.bits)) & np.uint64(1))
         self._sign = 1.0 - 2.0 * parity.astype(np.float64)
-        self.current_X = float(
-            np.dot(self.disorder.couplings, self._sign)
-        ) * self._scale
+        j_sigma = np.einsum("i,i->", self.disorder.couplings, self._sign)
+        self.current_X = float(j_sigma) * self._scale
 
 
 _RESYNC_INTERVAL = 4096
@@ -201,21 +200,10 @@ def _fwht(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _scatter(disorder: Disorder, n_bits: int, high_state: int = 0) -> np.ndarray:
-    """Coupling vector scattered over a 2^n_bits table of low mask bits.
-
-    Mask bits at n_bits and above are folded in as signs determined by
-    ``high_state`` (the fixed high part of the configuration).
-    """
-    params = disorder.params
+def _split_masks(params: ModelParams, n_bits: int) -> tuple:
+    """Coupling masks split at bit n_bits: (low part as table index, high part)."""
     masks = mask_table(params.N, params.p)
-    low = (masks & np.uint64((1 << n_bits) - 1)).astype(np.intp)
-    values = disorder.couplings
-    if params.N > n_bits:
-        high = masks >> np.uint64(n_bits)
-        parity = (np.bitwise_count(high & np.uint64(high_state)) & np.uint64(1)).astype(np.float64)
-        values = values * (1.0 - 2.0 * parity)
-    return np.bincount(low, weights=values, minlength=1 << n_bits)
+    return (masks & np.uint64((1 << n_bits) - 1)).astype(np.intp), masks >> np.uint64(n_bits)
 
 
 def field_table(disorder: Disorder, half: bool = False) -> np.ndarray:
@@ -231,27 +219,38 @@ def field_table(disorder: Disorder, half: bool = False) -> np.ndarray:
         raise ResourceLimitError(
             f"a 2^{n_bits} table exceeds the in-memory limit; use field_chunks"
         )
-    table = _scatter(disorder, n_bits)
+    low, _ = _split_masks(params, n_bits)
+    table = np.bincount(low, weights=disorder.couplings, minlength=1 << n_bits)
     _fwht(table)
     table /= math.sqrt(params.n_couplings)
     return table
 
 
-def field_chunks(disorder: Disorder, half: bool = False, chunk_bits: int = _CHUNK_BITS):
+def field_chunks(disorder: Disorder, half: bool = False, chunk_bits: int | None = None):
     """Yield the field table in contiguous state-order chunks.
 
-    Equivalent to :func:`field_table` but bounded in memory: high state
-    bits are fixed per chunk and only the low-bit subcube is transformed.
+    Equivalent to :func:`field_table`, one subcube at a time: the high state
+    bits are fixed per chunk and fold into the coupling signs, so only the
+    low-bit subcube is scattered and transformed.  By default a chunk is the
+    cache-sized FWHT block, widened (up to the in-memory table size) to at
+    least 8 entries per coupling so that the O(binom(N,p)) scatter of each
+    chunk stays small next to its transform.
     """
     params = disorder.params
     _check_budget(params)
     n_bits = params.N - 1 if half else params.N
+    if chunk_bits is None:
+        wide = (8 * params.n_couplings - 1).bit_length()
+        chunk_bits = min(max(_FWHT_BLOCK_BITS, wide), _DIRECT_TABLE_BITS)
     if n_bits <= chunk_bits:
         yield field_table(disorder, half=half)
         return
+    low, high = _split_masks(params, chunk_bits)
     scale = 1.0 / math.sqrt(params.n_couplings)
     for high_state in range(1 << (n_bits - chunk_bits)):
-        table = _scatter(disorder, chunk_bits, high_state=high_state)
+        parity = (np.bitwise_count(high & np.uint64(high_state)) & np.uint64(1)).astype(np.float64)
+        values = disorder.couplings * (1.0 - 2.0 * parity)
+        table = np.bincount(low, weights=values, minlength=1 << chunk_bits)
         _fwht(table)
         table *= scale
         yield table
@@ -278,8 +277,9 @@ def partition_and_power_sums(disorder: Disorder, beta: float, half: bool = True)
     mirror_odd = half and params.p % 2 == 1
     running_max = -math.inf
     acc = s2 = s3 = s4 = 0.0
+    buf = None  # allocated by the first chunk, reused by the rest
     for chunk in field_chunks(disorder, half=half):
-        buf = chunk * chunk
+        buf = np.multiply(chunk, chunk, out=buf)
         s2 += float(buf.sum())
         # einsum, not np.dot: a BLAS dot splits its sum by thread count
         if not mirror_odd:

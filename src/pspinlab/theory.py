@@ -113,6 +113,17 @@ def _excess_objective(u: float, p: int) -> float:
     return 2.0 * dev + big * (_LN2 + dev)
 
 
+def _excess_grid(u: np.ndarray, p: int) -> np.ndarray:
+    # _excess_objective over an array, for the grid scan only: numpy's
+    # log/expm1 may differ from libm's in the last bit, so the scan takes
+    # just its argmin from here
+    expo = -p * np.log1p(-u)
+    with np.errstate(over="ignore"):
+        big = np.expm1(expo)
+    dev = 0.5 * (u * np.log(u) + (2.0 - u) * np.log1p(-0.5 * u)) - 0.5 * u * _LN2
+    return np.where(expo > 700.0, np.inf, 2.0 * dev + big * (_LN2 + dev))
+
+
 def beta_p(p: int, tol: float = 1e-10) -> float:
     """Critical inverse temperature: sqrt of inf over (0,1) of g(m).
 
@@ -131,8 +142,7 @@ def beta_p(p: int, tol: float = 1e-10) -> float:
     if p == 2:
         return 1.0
     t_grid = np.linspace(math.log(_LAYER_LO), math.log(1.0 - _BRACKET_LO), _GRID_POINTS)
-    values = np.array([_excess_objective(float(math.exp(t)), p) for t in t_grid])
-    i = int(np.argmin(values))
+    i = int(np.argmin(_excess_grid(np.exp(t_grid), p)))
     lo = t_grid[max(i - 1, 0)]
     hi = t_grid[min(i + 1, _GRID_POINTS - 1)]
     res = minimize_scalar(
@@ -141,7 +151,7 @@ def beta_p(p: int, tol: float = 1e-10) -> float:
     )
     if not res.success or not (lo <= res.x <= hi):
         raise NumericalError(f"failed to bracket the minimum of g for p={p}")
-    excess = min(float(res.fun), float(values[i]))
+    excess = min(float(res.fun), _excess_objective(math.exp(t_grid[i]), p))
     return math.sqrt(2.0 * _LN2 + excess)
 
 

@@ -84,3 +84,21 @@ def h4_pair_grouping(disorder):
     j4 = float(np.sum(couplings**4))
     quad_sum = float(np.dot(t_by_diff, t_by_diff)) - 2.0 * (j2 * j2 - j4)
     return params.a_n**4 / 24.0 * quad_sum
+
+
+def beta_p_scalar_scan(p, tol=1e-10):
+    """beta_p with its grid scan evaluated point by point in scalar Python."""
+    from scipy.optimize import minimize_scalar
+
+    from pspinlab.theory import _excess_objective
+
+    points = 10_000
+    t_grid = np.linspace(math.log(1e-16), math.log(1.0 - 1e-6), points)
+    values = np.array([_excess_objective(float(math.exp(t)), p) for t in t_grid])
+    i = int(np.argmin(values))
+    lo, hi = t_grid[max(i - 1, 0)], t_grid[min(i + 1, points - 1)]
+    res = minimize_scalar(
+        lambda t: _excess_objective(math.exp(t), p), bounds=(lo, hi),
+        method="bounded", options={"xatol": tol},
+    )
+    return math.sqrt(2.0 * math.log(2.0) + min(float(res.fun), float(values[i])))

@@ -365,6 +365,23 @@ def test_identity_gate_fails_on_nan(monkeypatch):
     assert main(argv) == 3
 
 
+def test_nan_identity_residual_written_as_null(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(harness, "h4_direct", lambda disorder: math.nan)
+    out = tmp_path / "ids.json"
+    argv = ["run", "--mode", "identities", "--n", "9", "--p", "4", "--beta", "0.5",
+            "--replicas", "3", "--seed", "2", "--out", str(out)]
+    assert main(argv) == 3
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    for text in (capsys.readouterr().out, out.read_text()):
+        doc = json.loads(text, parse_constant=reject)
+        entry = doc["identities"]["h4_decomposition"]
+        assert entry["max_residual"] is None and entry["pass"] is False
+        assert doc["all_pass"] is False
+
+
 def test_identities_mode_even_p(tmp_path):
     out = tmp_path / "ids.json"
     report = run_experiment(

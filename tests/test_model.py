@@ -169,6 +169,63 @@ def test_multi_chunk_pass_matches_single_table(monkeypatch):
                 assert s3 == pytest.approx(single[half][2], rel=1e-12)
 
 
+def test_default_chunks_are_cache_sized():
+    # 2^16-state chunks, unless one would hold under 8 entries per coupling
+    d = sample_disorder(ModelParams(N=18, p=3), 1)
+    assert [c.size for c in field_chunks(d, half=True)] == [1 << 16] * 2
+    assert [c.size for c in field_chunks(d)] == [1 << 16] * 4
+    d = sample_disorder(ModelParams(N=18, p=9), 1)
+    assert [c.size for c in field_chunks(d, half=True)] == [1 << 17]
+
+
+def test_multi_chunk_pass_matches_single_table_large_binom(monkeypatch):
+    # (18, 9) is one table by default; in 2^16-state chunks every chunk
+    # scatters all 48620 couplings with its own high-bit signs
+    beta, N = 0.5, 18
+    d = sample_disorder(ModelParams(N=N, p=9), 3)
+    single = {half: partition_and_power_sums(d, beta, half=half) for half in (True, False)}
+    monkeypatch.setattr(model, "field_chunks", functools.partial(field_chunks, chunk_bits=16))
+    for half in (True, False):
+        log_z, s2, s3, s4 = partition_and_power_sums(d, beta, half=half)
+        assert log_z == pytest.approx(single[half][0], rel=1e-12)
+        assert s2 == pytest.approx(single[half][1], rel=1e-12)
+        assert s4 == pytest.approx(single[half][3], rel=1e-12)
+        if half:
+            assert s3 == 0.0
+        else:
+            assert abs(s3 - single[half][2]) <= 1e-12 * s2**1.5 / 2.0 ** (N / 2)
+
+
+def test_chunked_field_spot_check_n24():
+    # no full oracle is affordable at 2^23 half-table states: 300 random
+    # states of the default chunks against the direct coupling sum
+    d = sample_disorder(ModelParams(N=24, p=3), 11)
+    states = np.sort(np.random.default_rng(5).choice(1 << 23, size=300, replace=False))
+    got, start = [], 0
+    for chunk in field_chunks(d, half=True):
+        assert chunk.size == 1 << 16
+        inside = states[(states >= start) & (states < start + chunk.size)]
+        got.extend(chunk[inside - start])
+        start += chunk.size
+    assert start == 1 << 23
+    expected = [gaussian_field(int(s), d) for s in states]
+    assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
+
+
+def test_chunked_pass_matches_logsumexp_n22():
+    from scipy.special import logsumexp
+
+    beta, N = 0.6, 22
+    d = sample_disorder(ModelParams(N=N, p=3), 12)
+    table = field_table(d, half=False)
+    expected = float(logsumexp(beta * math.sqrt(N) * table)) - N * math.log(2.0)
+    for half in (True, False):
+        log_z, s2, _, s4 = partition_and_power_sums(d, beta, half=half)
+        assert log_z == pytest.approx(expected, rel=1e-12)
+        assert s2 == pytest.approx(float(np.sum(table**2)), rel=1e-12)
+        assert s4 == pytest.approx(float(np.sum(table**4)), rel=1e-12)
+
+
 def test_log_partition_zero_beta():
     d = sample_disorder(ModelParams(N=10, p=3), 1)
     assert log_partition(d, 0.0) == 0.0
@@ -243,6 +300,29 @@ def test_j_term_independent_of_blas_threads():
         "from pspinlab import ModelParams, j_term, sample_disorder\n"
         "params = ModelParams(50, 3)\n"
         "print([repr(j_term(sample_disorder(params, s), 0.5)) for s in range(6)])\n"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
+def test_gaussian_field_and_resync_independent_of_blas_threads():
+    # 19600 couplings, as in the j_term test above
+    code = (
+        "from pspinlab import EnergyLedger, ModelParams, gaussian_field, sample_disorder\n"
+        "d = sample_disorder(ModelParams(50, 3), 7)\n"
+        "ledger = EnergyLedger(d)\n"
+        "for site in (0, 17, 49):\n"
+        "    ledger.flip(site)\n"
+        "ledger.resync()\n"
+        "states = (0, 12345, 2**49 + 77, 2**50 - 1)\n"
+        "print(repr(ledger.current_X), [repr(gaussian_field(s, d)) for s in states])\n"
     )
     outputs = []
     for threads in ("1", "2"):

@@ -15,6 +15,8 @@ from pspinlab import (
     phi,
 )
 
+from _oracles import beta_p_scalar_scan
+
 
 def test_phi_values():
     assert phi(0.0) == 0.0
@@ -47,6 +49,13 @@ def test_beta_p_grid_oracle():
         vals = [critical_objective(float(m), p) for m in grid]
         oracle = math.sqrt(min(vals))
         assert beta_p(p) == pytest.approx(oracle, abs=1e-7)
+
+
+def test_beta_p_vector_scan_keeps_bits():
+    # the numpy grid scan must pick the scalar scan's cell, so the refined
+    # value keeps every bit
+    for p in range(3, 65):
+        assert beta_p(p) == beta_p_scalar_scan(p), p
 
 
 def test_beta_p_known_value_p3():
