@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 invalid parameters, 2 resource-limit refusal,
-3 identity-check failure.  Diagnostics go to standard error; results to
-standard output or to --out files.  PSPIN_THREADS provides the default
-for --threads.  ``constants``, ``identities`` and ``tabulate-covariance
---out`` are shorthands for ``run --mode constants|identities|tabulate``.
+Exit codes: 0 success, 1 invalid parameters or a numerical overflow,
+2 resource-limit refusal, 3 identity-check failure.  Diagnostics go to
+standard error; results to standard output or to --out files.
+PSPIN_THREADS provides the default for --threads.  ``constants``,
+``identities`` and ``tabulate-covariance --out`` are shorthands for
+``run --mode constants|identities|tabulate``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import sys
 from typing import Optional
 
-from .errors import IdentityCheckError, PspinError, ResourceLimitError
+from .errors import IdentityCheckError, NumericalError, PspinError, ResourceLimitError
 from .harness import MODES, ExperimentConfig, run_experiment, tabulate_text
 from .model import j_term
 from .momentlab import free_energy_and_moments
@@ -82,7 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        # JSON has no inf or NaN; a huge beta overflows a result to inf
+        raise NumericalError(f"a result is not finite: {exc}") from None
+    print(text)
 
 
 def _run(args):
@@ -169,6 +175,10 @@ def main(argv: Optional[list] = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _DISPATCH[args.command](args)
+    except OverflowError as exc:
+        # beta**k of a huge beta; N <= 64 keeps every other power in range
+        print(f"error: numerical overflow: {exc}", file=sys.stderr)
+        return 1
     except (PspinError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ResourceLimitError):

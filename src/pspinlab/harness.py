@@ -44,8 +44,8 @@ import numpy as np
 from scipy.special import kolmogorov, ndtr
 
 from .covariance import expansion_approx, exact_covariance, hermite, overlap_grid
-from .errors import InvalidParametersError, ResourceLimitError
-from .model import ENUMERATION_BUDGET, j_term
+from .errors import InvalidParametersError
+from .model import check_enumeration_budget, j_term
 from .momentlab import (
     BRUTE_PAIR_N,
     free_energy_and_moments,
@@ -54,7 +54,7 @@ from .momentlab import (
     pair_moment_paths,
     pair_plan,
 )
-from .multiindex import ModelParams, derive_seed, sample_disorder
+from .multiindex import ModelParams, check_coupling_budget, derive_seed, sample_disorder
 from .theory import beta_p, clt_variance, limit_constants
 
 __all__ = [
@@ -381,7 +381,10 @@ def _identity_report(params: ModelParams, rows: list) -> dict:
 
 
 def _replica_rows(config: ExperimentConfig, mode: _Mode, threads: int) -> tuple:
-    """(rows, supercritical) for a replica mode, streaming its CSV if asked."""
+    """(rows, supercritical, target) for a replica mode, streaming its CSV if asked.
+
+    Every refusal comes before the first replica draws its disorder.
+    """
     params = config.params
     critical = beta_p(params.p) if params.p >= 3 else 1.0
     supercritical = params.beta >= critical
@@ -390,11 +393,17 @@ def _replica_rows(config: ExperimentConfig, mode: _Mode, threads: int) -> tuple:
             f"beta={params.beta} is not below beta_p({params.p})={critical:.6f}; "
             f"pass allow_supercritical to run anyway"
         )
-    if mode.enumerates and params.N > ENUMERATION_BUDGET:
-        raise ResourceLimitError(
-            f"mode {config.mode} enumerates 2^N states and is capped at "
-            f"N <= {ENUMERATION_BUDGET}; got N={params.N}"
-        )
+    if mode.enumerates:
+        check_enumeration_budget(params)
+    check_coupling_budget(params.N, params.p)
+    target = None
+    if mode.target is not None:
+        target = mode.target(params)
+        if not (target[1] > 0.0):
+            raise InvalidParametersError(
+                f"mode {config.mode} needs a target normal of positive variance; "
+                f"beta={params.beta} gives {target[1]}"
+            )
     a_exp = None
     if mode.statistic is None:
         # built here, before any pool forks, so workers share it copy-on-write
@@ -410,7 +419,7 @@ def _replica_rows(config: ExperimentConfig, mode: _Mode, threads: int) -> tuple:
             rows.append(row)
             if write_csv:
                 csv_fh.write(_csv_line(row[0]) + "\n")
-    return rows, supercritical
+    return rows, supercritical, target
 
 
 def run_experiment(
@@ -435,12 +444,12 @@ def run_experiment(
             _write_atomic(config.output_path, text)
         constants = {"rows": len(text.splitlines()) - 1}
     else:
-        rows, supercritical = _replica_rows(config, mode, threads)
+        rows, supercritical, target = _replica_rows(config, mode, threads)
         if mode.statistic is None:
             identities = _identity_report(params, rows)
         else:
             stat = [mode.statistic(sample, params) for sample, _ in rows]
-            summary = summarize(stat, *mode.target(params))
+            summary = summarize(stat, *target)
     samples = [sample for sample, _ in rows]
     report = ExperimentReport(
         config=config,

@@ -7,13 +7,13 @@ enumeration engines coexist:
   order with an incremental :class:`EnergyLedger`, touching only the
   binom(N-1, p-1) couplings that contain the flipped site.  It is the
   reference path and the oracle the fast path is tested against.
-* :func:`field_table` evaluates the whole hypercube at once.  Since
-  sigma_A(s) = (-1)^{popcount(mask_A & s)}, the table of coupling sums over
-  all states is the Walsh-Hadamard transform of the coupling vector
-  scattered at the subset bitmasks, costing O(N 2^N) instead of
-  O(2^N binom).  :func:`field_chunks` always cuts the hypercube into
-  cache-sized subcubes over the low bits (fixed high bits reduce to a
-  smaller scattered vector); a table that fits one chunk is built whole.
+* :func:`field_chunks` evaluates the hypercube one subcube at a time.
+  Since sigma_A(s) = (-1)^{popcount(mask_A & s)}, the table of coupling
+  sums over all states is the Walsh-Hadamard transform of the coupling
+  vector scattered at the subset bitmasks, costing O(N 2^N) instead of
+  O(2^N binom).  Each chunk fixes the high state bits, which fold into the
+  coupling signs, and transforms the cache-sized subcube over the low bits.
+  It is the one table builder: :func:`field_table` is its one-chunk case.
 
 :func:`partition_and_power_sums` is the one pass over the field table: it
 yields ln Z_N together with the sums of X^2, X^3, X^4 the quenched moments
@@ -40,6 +40,7 @@ __all__ = [
     "SpinConfiguration",
     "EnergyLedger",
     "ENUMERATION_BUDGET",
+    "check_enumeration_budget",
     "gaussian_field",
     "hamiltonian",
     "gray_sweep",
@@ -71,9 +72,7 @@ def gaussian_field(bits: SpinConfiguration, disorder: Disorder) -> float:
     """X_sigma = binom(N,p)^{-1/2} sum_A J_A sigma_A for one configuration."""
     params = disorder.params
     _check_bits(bits, params.N)
-    masks = mask_table(params.N, params.p)
-    parity = (np.bitwise_count(masks & np.uint64(bits)) & np.uint64(1)).astype(np.float64)
-    signs = 1.0 - 2.0 * parity
+    signs = _signs(mask_table(params.N, params.p), bits)
     return float(np.einsum("i,i->", disorder.couplings, signs) / math.sqrt(params.n_couplings))
 
 
@@ -117,9 +116,7 @@ class EnergyLedger:
     def resync(self) -> None:
         """Rebuild X from bits; caps float drift on long sweeps."""
         params = self.disorder.params
-        masks = mask_table(params.N, params.p)
-        parity = (np.bitwise_count(masks & np.uint64(self.bits)) & np.uint64(1))
-        self._sign = 1.0 - 2.0 * parity.astype(np.float64)
+        self._sign = _signs(mask_table(params.N, params.p), self.bits)
         j_sigma = np.einsum("i,i->", self.disorder.couplings, self._sign)
         self.current_X = float(j_sigma) * self._scale
 
@@ -137,7 +134,7 @@ def gray_sweep(disorder: Disorder, visitor) -> None:
     incremental rounding cannot accumulate past ~1e-14.
     """
     params = disorder.params
-    _check_budget(params)
+    check_enumeration_budget(params)
     ledger = EnergyLedger(disorder)
     visitor(ledger.bits, ledger.current_X)
     for t in range(1, 1 << params.N):
@@ -200,59 +197,43 @@ def _fwht(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _split_masks(params: ModelParams, n_bits: int) -> tuple:
-    """Coupling masks split at bit n_bits: (low part as table index, high part)."""
-    masks = mask_table(params.N, params.p)
-    return (masks & np.uint64((1 << n_bits) - 1)).astype(np.intp), masks >> np.uint64(n_bits)
-
-
 def field_table(disorder: Disorder, half: bool = False) -> np.ndarray:
     """X values for every configuration, indexed by state bitmask.
 
     With ``half=True`` only states with the top spin up (top bit clear) are
-    returned; the remaining half follows from X(~s) = (-1)^p X(s).
+    returned; the remaining half follows from X(~s) = (-1)^p X(s).  It is
+    the single chunk of :func:`field_chunks`, so at most 2^24 states.
     """
-    params = disorder.params
-    _check_budget(params)
-    n_bits = params.N - 1 if half else params.N
-    if n_bits > _DIRECT_TABLE_BITS:
-        raise ResourceLimitError(
-            f"a 2^{n_bits} table exceeds the in-memory limit; use field_chunks"
-        )
-    low, _ = _split_masks(params, n_bits)
-    table = np.bincount(low, weights=disorder.couplings, minlength=1 << n_bits)
-    _fwht(table)
-    table /= math.sqrt(params.n_couplings)
-    return table
+    return next(field_chunks(disorder, half=half, chunk_bits=disorder.params.N))
 
 
 def field_chunks(disorder: Disorder, half: bool = False, chunk_bits: int | None = None):
     """Yield the field table in contiguous state-order chunks.
 
-    Equivalent to :func:`field_table`, one subcube at a time: the high state
-    bits are fixed per chunk and fold into the coupling signs, so only the
-    low-bit subcube is scattered and transformed.  By default a chunk is the
-    cache-sized FWHT block, widened (up to the in-memory table size) to at
-    least 8 entries per coupling so that the O(binom(N,p)) scatter of each
-    chunk stays small next to its transform.
+    The high state bits are fixed per chunk and fold into the coupling
+    signs, so only the low-bit subcube is scattered and transformed.  By
+    default a chunk is the cache-sized FWHT block, widened (up to the
+    in-memory table size, the largest chunk allowed) to at least 8 entries
+    per coupling so that the O(binom(N,p)) scatter of each chunk stays small
+    next to its transform.
     """
     params = disorder.params
-    _check_budget(params)
+    check_enumeration_budget(params)
     n_bits = params.N - 1 if half else params.N
     if chunk_bits is None:
         wide = (8 * params.n_couplings - 1).bit_length()
         chunk_bits = min(max(_FWHT_BLOCK_BITS, wide), _DIRECT_TABLE_BITS)
-    if n_bits <= chunk_bits:
-        yield field_table(disorder, half=half)
-        return
-    low, high = _split_masks(params, chunk_bits)
-    scale = 1.0 / math.sqrt(params.n_couplings)
+    chunk_bits = min(chunk_bits, n_bits)
+    if chunk_bits > _DIRECT_TABLE_BITS:
+        raise ResourceLimitError(f"a 2^{chunk_bits}-state table exceeds the in-memory limit")
+    masks = mask_table(params.N, params.p)
+    low = (masks & np.uint64((1 << chunk_bits) - 1)).astype(np.intp)
+    high = masks >> np.uint64(chunk_bits)
     for high_state in range(1 << (n_bits - chunk_bits)):
-        parity = (np.bitwise_count(high & np.uint64(high_state)) & np.uint64(1)).astype(np.float64)
-        values = disorder.couplings * (1.0 - 2.0 * parity)
+        values = disorder.couplings * _signs(high, high_state) if high_state else disorder.couplings
         table = np.bincount(low, weights=values, minlength=1 << chunk_bits)
         _fwht(table)
-        table *= scale
+        table /= math.sqrt(params.n_couplings)
         yield table
 
 
@@ -270,7 +251,6 @@ def partition_and_power_sums(disorder: Disorder, beta: float, half: bool = True)
     params = disorder.params
     if not (beta >= 0.0):
         raise InvalidParametersError(f"beta={beta} must be >= 0")
-    _check_budget(params)
     if not np.all(np.isfinite(disorder.couplings)):
         raise DataError("non-finite coupling encountered")
     scale = beta * math.sqrt(params.N)
@@ -322,6 +302,12 @@ def j_term(disorder: Disorder, beta: float) -> float:
     return beta * beta * j2 / (2.0 * disorder.params.n_couplings)
 
 
+def _signs(masks: np.ndarray, bits: int) -> np.ndarray:
+    """sigma_A = (-1)^{popcount(mask_A & bits)} for each coupling mask, as +-1.0."""
+    parity = np.bitwise_count(masks & np.uint64(bits)) & np.uint64(1)
+    return 1.0 - 2.0 * parity.astype(np.float64)
+
+
 def _check_bits(bits: int, N: int) -> None:
     if bits < 0 or bits >> N:
         raise InvalidParametersError(
@@ -329,7 +315,8 @@ def _check_bits(bits: int, N: int) -> None:
         )
 
 
-def _check_budget(params: ModelParams) -> None:
+def check_enumeration_budget(params: ModelParams) -> None:
+    """Refuse an N whose 2^N-state enumeration exceeds the budget."""
     if params.N > ENUMERATION_BUDGET:
         raise ResourceLimitError(
             f"N={params.N} exceeds the enumeration budget N <= {ENUMERATION_BUDGET} "

@@ -39,7 +39,7 @@ import numpy as np
 
 from .covariance import covariance_numerator
 from .errors import IdentityCheckError, InvalidParametersError, ResourceLimitError
-from .model import partition_and_power_sums
+from .model import j_term, partition_and_power_sums
 from .multiindex import (
     Disorder,
     ModelParams,
@@ -319,10 +319,7 @@ def first_moment_mc(
             np.float64
         )
         x_vals = (1.0 - 2.0 * parity) @ disorder.couplings * root
-        n_j = 0.5 * beta * beta * (N / params.n_couplings) * float(
-            np.dot(disorder.couplings, disorder.couplings)
-        )
-        out[r] = float(np.cosh(scale * x_vals).mean()) * math.exp(-n_j)
+        out[r] = float(np.cosh(scale * x_vals).mean()) * math.exp(-N * j_term(disorder, beta))
     return out
 
 
@@ -333,11 +330,10 @@ def j_mgf_mc(
     params = ModelParams(N=N, p=p)
     if replicas < 1:
         raise InvalidParametersError("replicas must be >= 1")
-    coef = 0.5 * q * beta * beta * (N / params.n_couplings)
     out = np.empty(replicas)
     for r in range(replicas):
         disorder = sample_disorder(params, derive_seed(base_seed, r))
-        out[r] = math.exp(-coef * float(np.dot(disorder.couplings, disorder.couplings)))
+        out[r] = math.exp(-q * N * j_term(disorder, beta))
     return out
 
 

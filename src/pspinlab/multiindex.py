@@ -28,10 +28,16 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from .errors import DataError, InvalidParametersError
+from .errors import DataError, InvalidParametersError, ResourceLimitError
 
 _MASK64 = (1 << 64) - 1
 _MAGIC = b"PSPN1"
+
+# Peak bytes per coupling (tracemalloc, binom = 1.3e5..1.6e6): building the
+# mask table takes 96-121 B, a Python tuple per multi-index on the way;
+# drawing a disorder takes 24 B (Philox words, then normals).
+_COUPLING_BYTES = 128
+_COUPLING_BYTE_BUDGET = 2 * 2**30
 
 # A multi-index is a plain tuple of strictly increasing site labels in [1, N].
 MultiIndex = tuple
@@ -46,6 +52,7 @@ __all__ = [
     "index_to_mask",
     "mask_to_index",
     "mask_table",
+    "check_coupling_budget",
     "philox_words",
     "sample_disorder",
     "coupling_entry",
@@ -76,8 +83,8 @@ class ModelParams:
     """System size N, interaction order p, and inverse temperature beta.
 
     Invariants: 2 <= p <= N <= 64 (configurations must fit one 64-bit
-    bitmask) and beta >= 0.  The number of couplings binom(N, p) and the
-    normalization a_N = sqrt(N / binom(N, p)) are derived exactly.
+    bitmask) and 0 <= beta < inf.  The number of couplings binom(N, p) and
+    the normalization a_N = sqrt(N / binom(N, p)) are derived exactly.
     """
 
     N: int
@@ -93,8 +100,8 @@ class ModelParams:
             raise InvalidParametersError(f"system size N={self.N} must be >= p={self.p}")
         if self.N > 64:
             raise InvalidParametersError(f"N={self.N} exceeds the 64-bit configuration bound")
-        if not (self.beta >= 0.0):
-            raise InvalidParametersError(f"beta={self.beta} must be >= 0")
+        if not (0.0 <= self.beta < math.inf):
+            raise InvalidParametersError(f"beta={self.beta} must be finite and >= 0")
 
     @property
     def n_couplings(self) -> int:
@@ -208,8 +215,19 @@ def mask_table(N: int, p: int) -> np.ndarray:
     return _mask_table_cached(N, p)
 
 
+def check_coupling_budget(N: int, p: int) -> None:
+    """Refuse an (N, p) whose binom(N, p) couplings would not fit the byte budget."""
+    n = math.comb(N, p)
+    if n * _COUPLING_BYTES > _COUPLING_BYTE_BUDGET:
+        raise ResourceLimitError(
+            f"binom({N},{p}) = {n} couplings exceed the {_COUPLING_BYTE_BUDGET >> 30} GiB "
+            f"budget at {_COUPLING_BYTES} B/coupling"
+        )
+
+
 @lru_cache(maxsize=None)
 def _mask_table_cached(N: int, p: int) -> np.ndarray:
+    check_coupling_budget(N, p)
     masks = np.fromiter(
         (index_to_mask(A) for A in enumerate_multi_indices(N, p)),
         dtype=np.uint64,
@@ -243,6 +261,7 @@ def sample_disorder(params: ModelParams, seed: int) -> Disorder:
     One raw 64-bit Philox word per coupling, consumed in rank order, so the
     stream position of entry r is r itself (see :func:`coupling_entry`).
     """
+    check_coupling_budget(params.N, params.p)
     seed = seed & _MASK64
     raw = philox_words(seed, params.n_couplings)
     return Disorder(params=params, seed=seed, couplings=_raw_to_normal(raw))

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -111,12 +112,25 @@ def test_run_writes_csv_and_report(capsys, tmp_path):
 
 
 def test_run_budget_refusal_exit_2(capsys, tmp_path):
-    code, _, err = run_cli(
-        capsys, "run", "--mode", "theorem1", "--n", "40", "--p", "3",
-        "--beta", "0.4", "--replicas", "4", "--out", str(tmp_path / "x.csv"),
-    )
-    assert code == 2
-    assert "error:" in err
+    # 2^40 states; then binom(N, p) couplings past the byte budget, refused
+    # before the coupling vector or the mask table is allocated
+    for argv, message in (
+        (["run", "--mode", "theorem1", "--n", "40", "--p", "3", "--beta", "0.4",
+          "--replicas", "4", "--out", str(tmp_path / "x.csv")], "enumeration budget"),
+        (["exact", "--n", "64", "--p", "32"], "couplings"),
+        (["run", "--mode", "jterm_clt", "--n", "60", "--p", "12"], "couplings"),
+        (["run", "--mode", "theorem1", "--n", "30", "--p", "15"], "couplings"),
+    ):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and message in err
+        assert peak < 16 * 2**20
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_run_supercritical_exit_1_then_override(capsys):
@@ -153,6 +167,14 @@ def test_invalid_model_parameters_exit_1(capsys):
         (["constants", "--n", "0", "--p", "3", "--beta", "0.5"], "N=0"),
         (["tabulate-covariance", "--n", "6", "--p", "1"], "p=1"),
         (["tabulate-covariance", "--n", "70", "--p", "3"], "N=70"),
+        # a non-finite beta is refused; a huge one overflows beta**k
+        (["exact", "--n", "10", "--p", "3", "--beta", "inf"], "beta=inf"),
+        (["constants", "--p", "3", "--beta", "inf"], "beta=inf"),
+        (["exact", "--n", "10", "--p", "3", "--beta", "1e80"], "overflow"),
+        (["constants", "--p", "4", "--beta", "1e80"], "overflow"),
+        (["run", "--mode", "jterm_clt", "--n", "12", "--p", "3", "--beta", "1e200",
+          "--replicas", "4", "--allow-supercritical"], "overflow"),
+        (["constants", "--p", "7", "--beta", "1e38"], "not finite"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""

@@ -143,14 +143,17 @@ def test_non_integer_threads_env_exits_1(monkeypatch, capsys):
 def test_single_replica_sampling_rejected_before_any_replica(monkeypatch, capsys, tmp_path):
     drawn = []
     monkeypatch.setattr(harness, "sample_disorder", lambda *a: drawn.append(a))
-    # (mode, p, replicas, expected message); theorem2's constants need p >= 3
-    cases = [(mode, 3, 1, "replicas >= 2") for mode in ("theorem1", "theorem2", "jterm_clt")]
-    cases.append(("theorem2", 2, 40, "p >= 3"))
-    for mode, p, replicas, message in cases:
+    # (mode, p, beta, replicas, expected message); theorem2's constants need
+    # p >= 3, and at beta = 0 (run's default) every target variance is 0
+    modes = ("theorem1", "theorem2", "jterm_clt")
+    cases = [(mode, 3, "0.4", 1, "replicas >= 2") for mode in modes]
+    cases.append(("theorem2", 2, "0.4", 40, "p >= 3"))
+    cases += [(mode, 3, "0", 20, "positive variance") for mode in modes]
+    for mode, p, beta, replicas, message in cases:
         with pytest.raises(InvalidParametersError):
-            config(10, p, 0.4, mode, replicas)
-        out = tmp_path / f"{mode}-p{p}.csv"
-        argv = ["run", "--mode", mode, "--n", "10", "--p", str(p), "--beta", "0.4",
+            run_experiment(config(10, p, float(beta), mode, replicas))
+        out = tmp_path / f"{mode}-p{p}-b{beta}.csv"
+        argv = ["run", "--mode", mode, "--n", "10", "--p", str(p), "--beta", beta,
                 "--replicas", str(replicas), "--out", str(out)]
         assert main(argv) == 1
         err = capsys.readouterr().err

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,6 +266,22 @@ def test_log_partition_rejects_bad_inputs():
         log_partition(big, 0.5)
     with pytest.raises(ResourceLimitError):
         gray_sweep(big, lambda b, x: None)
+
+
+def test_tables_above_in_memory_limit_refused():
+    # a 2^25-state table (256 MiB) is refused before anything is allocated,
+    # as the one chunk of field_table or as an explicit chunk size
+    d = sample_disorder(ModelParams(N=25, p=3), 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            field_table(d, half=False)
+        with pytest.raises(ResourceLimitError):
+            next(field_chunks(d, chunk_bits=25))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_free_energy_is_scaled_log_partition():
