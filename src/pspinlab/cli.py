@@ -11,12 +11,11 @@ PSPIN_THREADS provides the default for --threads.  ``constants``,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
-from .errors import IdentityCheckError, NumericalError, PspinError, ResourceLimitError
-from .harness import MODES, ExperimentConfig, run_experiment, tabulate_text
+from .errors import IdentityCheckError, PspinError, ResourceLimitError
+from .harness import MODES, ExperimentConfig, finite_json, run_experiment, tabulate_text
 from .model import j_term
 from .momentlab import free_energy_and_moments
 from .multiindex import ModelParams, sample_disorder
@@ -83,12 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: dict) -> None:
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        # JSON has no inf or NaN; a huge beta overflows a result to inf
-        raise NumericalError(f"a result is not finite: {exc}") from None
-    print(text)
+    print(finite_json(payload))
 
 
 def _run(args):

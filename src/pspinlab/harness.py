@@ -44,7 +44,7 @@ import numpy as np
 from scipy.special import kolmogorov, ndtr
 
 from .covariance import expansion_approx, exact_covariance, hermite, overlap_grid
-from .errors import InvalidParametersError
+from .errors import InvalidParametersError, NumericalError
 from .model import check_enumeration_budget, j_term
 from .momentlab import (
     BRUTE_PAIR_N,
@@ -66,6 +66,7 @@ __all__ = [
     "summarize",
     "tabulate_covariance",
     "tabulate_text",
+    "finite_json",
     "MODES",
     "CSV_HEADER",
 ]
@@ -319,6 +320,15 @@ def _iter_rows(config: ExperimentConfig, a_exp: Optional[float], threads: int):
         yield from pool.imap(partial(_row, config, a_exp), range(m), chunksize=chunk)
 
 
+def finite_json(doc: dict) -> str:
+    """``doc`` as indented key-sorted JSON; inf and NaN, which JSON lacks, are refused."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        # a huge beta overflows a result to inf without raising
+        raise NumericalError(f"a result is not finite: {exc}") from None
+
+
 def _write_atomic(path: str, text: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -468,5 +478,5 @@ def run_experiment(
             doc["samples"] = [dict(zip(keys, vars(s).values())) for s in samples]
         elif summary is not None:
             path += ".report.json"
-        _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write_atomic(path, finite_json(doc) + "\n")
     return report

@@ -13,6 +13,8 @@ enumeration engines coexist:
   vector scattered at the subset bitmasks, costing O(N 2^N) instead of
   O(2^N binom).  Each chunk fixes the high state bits, which fold into the
   coupling signs, and transforms the cache-sized subcube over the low bits.
+  A chunk is scattered straight into a compact layout of the columns its
+  low FWHT stages can reach; the rest hold +0.0 and are not transformed.
   It is the one table builder: :func:`field_table` is its one-chunk case.
 
 :func:`partition_and_power_sums` is the one pass over the field table: it
@@ -30,6 +32,7 @@ the folded pass.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -169,25 +172,65 @@ def _wht_axis0(x: np.ndarray, t: np.ndarray) -> None:
         hi[...] = diff
 
 
-def _fwht(a: np.ndarray) -> np.ndarray:
-    """In-place Walsh-Hadamard transform, natural (Hadamard) ordering.
+@lru_cache(maxsize=2)
+def _compact_layout(N: int, p: int, bits: int) -> tuple:
+    """Where the low FWHT stages of a 2^bits chunk find the coupling scatter.
 
-    Every entry sees the butterflies of the radix-2 stages h = 1, 2, 4, ...
-    in that order, so the result is bit-identical to the plain stage loop.
-    Stages below 2^_FWHT_BLOCK_BITS run block by block, the first of them on
-    a transposed copy; the wide stages then run over column slices.
+    Each 2^_FWHT_BLOCK_BITS block runs its low stages on a transposed
+    (2^_FWHT_LOW_BITS, columns) copy, one column per value of the block's
+    upper bits.  A coupling mask has p bits set, so the columns of block b
+    whose popcount exceeds p - popcount(b) receive no coupling and hold
+    only +0.0, which the butterflies keep exactly +0.0.  Only the live
+    columns are laid out: block after block, each a (2^_FWHT_LOW_BITS, live)
+    array.  Returns the compact position of the low ``bits`` bits of each
+    mask (read-only) and the live columns of each block.
     """
-    n = a.size
+    low_bits = min(bits, _FWHT_LOW_BITS)
+    block_bits = min(bits, _FWHT_BLOCK_BITS)
+    cols = np.bitwise_count(np.arange(1 << (block_bits - low_bits)))
+    blocks = np.bitwise_count(np.arange(1 << (bits - block_bits)))
+    is_live = cols[None, :] + blocks[:, None] <= p
+    counts = is_live.sum(axis=1)
+    starts = np.cumsum(counts << low_bits) - (counts << low_bits)
+    # compact position of row 0 of each (block, column), and the row stride
+    base = (starts[:, None] + np.cumsum(is_live, axis=1) - 1).ravel()
+    stride = np.repeat(counts, cols.size)
+    low = (mask_table(N, p) & np.uint64((1 << bits) - 1)).astype(np.intp)
+    upper = low >> low_bits
+    index = base[upper] + (low & ((1 << low_bits) - 1)) * stride[upper]
+    index.flags.writeable = False
+    return index, [np.flatnonzero(row) for row in is_live]
+
+
+def _transform(a: np.ndarray, live: list, t: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform, natural ordering, in place from compact form.
+
+    ``a`` begins with the live columns of :func:`_compact_layout` and ends
+    as the transform of the table whose other columns are +0.0; ``t`` is
+    scratch of one block.  Every entry sees the butterflies of the radix-2
+    stages h = 1, 2, 4, ... in that order, so the result is bit-identical to
+    the plain stage loop.  Blocks run last to first, so no block's rows
+    cover a compact array still to be read: each runs its low stages on its
+    live columns, writes them into its rows with the dead rows +0.0 and runs
+    its remaining stages.  The wide stages then run over column slices.
+    """
+    n, block = a.size, t.size
     low = min(n, 1 << _FWHT_LOW_BITS)
-    block = min(n, 1 << _FWHT_BLOCK_BITS)
-    t = np.empty(block)
-    for start in range(0, n, block):
-        b = a[start : start + block]
-        bt = t.reshape(low, -1)
-        np.copyto(bt, b.reshape(-1, low).T)
-        _wht_axis0(bt, b.reshape(low, -1))
-        np.copyto(b.reshape(-1, low), bt.T)
-        _wht_axis0(b.reshape(-1, low), t.reshape(-1, low))
+    end = low * sum(cols.size for cols in live)
+    for b, cols in zip(a.reshape(-1, block)[::-1], live[::-1]):
+        if not cols.size:
+            b.fill(0.0)
+            continue
+        end -= low * cols.size
+        x = a[end : end + low * cols.size].reshape(low, -1)
+        tx = t[: x.size].reshape(x.shape)
+        _wht_axis0(x, tx)
+        np.copyto(tx, x)  # the block's rows may cover x
+        rows = b.reshape(-1, low)
+        if cols.size < rows.shape[0]:
+            rows.fill(0.0)
+        rows[cols] = tx.T
+        _wht_axis0(rows, t.reshape(rows.shape))
     if n > block:
         rows = n // block
         width = block // rows
@@ -195,6 +238,14 @@ def _fwht(a: np.ndarray) -> np.ndarray:
         for col in range(0, block, width):
             _wht_axis0(wide[:, col : col + width], t.reshape(rows, width))
     return a
+
+
+def _fwht(a: np.ndarray) -> np.ndarray:
+    """In-place Walsh-Hadamard transform of a dense table: every column live."""
+    low = min(a.size, 1 << _FWHT_LOW_BITS)
+    block = min(a.size, 1 << _FWHT_BLOCK_BITS)
+    a[...] = a.reshape(-1, block // low, low).transpose(0, 2, 1).ravel()
+    return _transform(a, [np.arange(block // low)] * (a.size // block), np.empty(block))
 
 
 def field_table(disorder: Disorder, half: bool = False) -> np.ndarray:
@@ -211,11 +262,13 @@ def field_chunks(disorder: Disorder, half: bool = False, chunk_bits: int | None 
     """Yield the field table in contiguous state-order chunks.
 
     The high state bits are fixed per chunk and fold into the coupling
-    signs, so only the low-bit subcube is scattered and transformed.  By
-    default a chunk is the cache-sized FWHT block, widened (up to the
+    signs, so only the low-bit subcube is scattered and transformed, into
+    the live columns of :func:`_compact_layout` at the start of the chunk.
+    By default a chunk is the cache-sized FWHT block, widened (up to the
     in-memory table size, the largest chunk allowed) to at least 8 entries
     per coupling so that the O(binom(N,p)) scatter of each chunk stays small
-    next to its transform.
+    next to its transform.  Each chunk is a fresh array; the transform
+    scratch is allocated once per call.
     """
     params = disorder.params
     check_enumeration_budget(params)
@@ -226,13 +279,13 @@ def field_chunks(disorder: Disorder, half: bool = False, chunk_bits: int | None 
     chunk_bits = min(chunk_bits, n_bits)
     if chunk_bits > _DIRECT_TABLE_BITS:
         raise ResourceLimitError(f"a 2^{chunk_bits}-state table exceeds the in-memory limit")
-    masks = mask_table(params.N, params.p)
-    low = (masks & np.uint64((1 << chunk_bits) - 1)).astype(np.intp)
-    high = masks >> np.uint64(chunk_bits)
+    index, live = _compact_layout(params.N, params.p, chunk_bits)
+    high = mask_table(params.N, params.p) >> np.uint64(chunk_bits)
+    scratch = np.empty(1 << min(chunk_bits, _FWHT_BLOCK_BITS))
     for high_state in range(1 << (n_bits - chunk_bits)):
         values = disorder.couplings * _signs(high, high_state) if high_state else disorder.couplings
-        table = np.bincount(low, weights=values, minlength=1 << chunk_bits)
-        _fwht(table)
+        table = np.bincount(index, weights=values, minlength=1 << chunk_bits)
+        _transform(table, live, scratch)
         table /= math.sqrt(params.n_couplings)
         yield table
 

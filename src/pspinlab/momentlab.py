@@ -177,9 +177,10 @@ def h4_direct(disorder: Disorder) -> float:
     couplings = disorder.couplings
     outer = (couplings[:, None] * couplings[None, :]).ravel()
     t_by_diff = np.bincount(groups, weights=outer)[1:]
-    j2 = float(np.dot(couplings, couplings))
+    # einsum, not np.dot: a long BLAS dot splits its sum by thread count
+    j2 = float(np.einsum("i,i->", couplings, couplings))
     j4 = float(np.sum(couplings**4))
-    quad_sum = float(np.dot(t_by_diff, t_by_diff)) - 2.0 * (j2 * j2 - j4)
+    quad_sum = float(np.einsum("i,i->", t_by_diff, t_by_diff)) - 2.0 * (j2 * j2 - j4)
     return params.a_n**4 / 24.0 * quad_sum
 
 

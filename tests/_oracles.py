@@ -47,6 +47,28 @@ def fwht_radix2(a):
     return a
 
 
+def dense_field_chunks(disorder, half, chunk_bits):
+    """The field table in 2^chunk_bits-state chunks, each scattered dense.
+
+    Every chunk is the full bincount of its signed couplings at the low
+    mask bits, transformed by the radix-2 stage loop and divided by
+    sqrt(binom(N, p)).
+    """
+    params = disorder.params
+    n_bits = params.N - 1 if half else params.N
+    chunk_bits = min(chunk_bits, n_bits)
+    masks = mask_table(params.N, params.p)
+    low = (masks & np.uint64((1 << chunk_bits) - 1)).astype(np.intp)
+    high = masks >> np.uint64(chunk_bits)
+    for high_state in range(1 << (n_bits - chunk_bits)):
+        parity = np.bitwise_count(high & np.uint64(high_state)) & np.uint64(1)
+        values = disorder.couplings * (1.0 - 2.0 * parity.astype(np.float64))
+        table = np.bincount(low, weights=values, minlength=1 << chunk_bits)
+        fwht_radix2(table)
+        table /= math.sqrt(params.n_couplings)
+        yield table
+
+
 def h3_pair_scan(disorder, block_pairs=25_000_000):
     """E_sigma(-H^3) with the pair index work redone per call.
 
@@ -80,9 +102,9 @@ def h4_pair_grouping(disorder):
     off = sym != 0
     _, inverse = np.unique(sym[off], return_inverse=True)
     t_by_diff = np.bincount(inverse, weights=outer[off])
-    j2 = float(np.dot(couplings, couplings))
+    j2 = float(np.einsum("i,i->", couplings, couplings))
     j4 = float(np.sum(couplings**4))
-    quad_sum = float(np.dot(t_by_diff, t_by_diff)) - 2.0 * (j2 * j2 - j4)
+    quad_sum = float(np.einsum("i,i->", t_by_diff, t_by_diff)) - 2.0 * (j2 * j2 - j4)
     return params.a_n**4 / 24.0 * quad_sum
 
 

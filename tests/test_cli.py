@@ -181,6 +181,18 @@ def test_invalid_model_parameters_exit_1(capsys):
         assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
+def test_non_finite_result_writes_no_report(capsys, tmp_path):
+    # the report file is refused with the printed result, not left holding Infinity
+    out_path = tmp_path / "c.json"
+    code, out, err = run_cli(
+        capsys, "run", "--mode", "constants", "--n", "7", "--p", "7",
+        "--beta", "1e38", "--out", str(out_path),
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "not finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_out_exit_1(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "run", "--mode", "jterm_clt", "--n", "12", "--p", "3",

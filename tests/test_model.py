@@ -28,7 +28,7 @@ from pspinlab import (
 from pspinlab import model
 from pspinlab.model import _fwht, partition_and_power_sums
 
-from _oracles import fwht_radix2, naive_field_table, naive_log_partition
+from _oracles import dense_field_chunks, fwht_radix2, naive_field_table, naive_log_partition
 
 
 def unit_disorder(N, p, value=1.0):
@@ -130,6 +130,28 @@ def test_fwht_bit_identical_to_radix2_stages():
         assert np.array_equal(_fwht(x.copy()), fwht_radix2(x.copy())), bits
 
 
+def test_field_chunks_bit_identical_to_dense_oracle():
+    # the low FWHT stages skip only columns that hold +0.0, so every chunk
+    # keeps the dense scatter's bits: all columns live at (12, 4); partly
+    # live in the 2^16 chunks of (20, 3) and (18, 4) and the 2^19-20 single
+    # tables of (20, 8); 2^17 and 2^18 chunks with live columns per 2^16
+    # block at (20, 5) and (19, 6); explicit chunks below one transposed
+    # row (2, 4), of one row (8) and of four blocks (18); and at (20, 2)
+    # in 2^19 chunks, a block whose index has more bits set than p
+    cases = [(12, 4, None), (20, 8, None), (20, 3, None), (18, 4, None),
+             (20, 5, None), (19, 6, None), (12, 3, 2), (12, 3, 4), (14, 4, 8),
+             (20, 3, 18), (20, 2, 19)]
+    for N, p, chunk_bits in cases:
+        d = sample_disorder(ModelParams(N=N, p=p), 60 + N + p)
+        for half in (True, False):
+            got = list(field_chunks(d, half=half, chunk_bits=chunk_bits))
+            bits = got[0].size.bit_length() - 1
+            expected = list(dense_field_chunks(d, half, bits))
+            assert len(got) == len(expected), (N, p, half)
+            for chunk, dense in zip(got, expected):
+                assert chunk.tobytes() == dense.tobytes(), (N, p, chunk_bits, half)
+
+
 def test_half_table_fold_identity():
     # states with the top bit clear determine the rest by global flip
     for p in (3, 4):
@@ -210,6 +232,22 @@ def test_chunked_field_spot_check_n24():
         start += chunk.size
     assert start == 1 << 23
     expected = [gaussian_field(int(s), d) for s in states]
+    assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
+
+
+def test_chunked_field_spot_check_n26():
+    # two random states in each of the 512 default chunks of the 2^25-state
+    # half table against the direct coupling sum
+    d = sample_disorder(ModelParams(N=26, p=3), 13)
+    rng = np.random.default_rng(6)
+    got, expected, start = [], [], 0
+    for chunk in field_chunks(d, half=True):
+        assert chunk.size == 1 << 16
+        for i in rng.choice(chunk.size, size=2, replace=False):
+            got.append(chunk[i])
+            expected.append(gaussian_field(start + int(i), d))
+        start += chunk.size
+    assert start == 1 << 25
     assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
 
 

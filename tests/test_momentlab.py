@@ -109,12 +109,8 @@ def test_beta_validation():
         quenched_moments(d, -0.1)
 
 
-def test_quenched_moments_independent_of_blas_threads():
-    code = (
-        "from pspinlab import ModelParams, quenched_moments, sample_disorder\n"
-        "q = quenched_moments(sample_disorder(ModelParams(18, 3), 3), 0.4)\n"
-        "print(repr((q.m2, q.m3, q.m4, q.h4, q.t_value)))\n"
-    )
+def outputs_under_blas_threads(code):
+    """stdout of ``code`` run with 1 and with 2 OpenBLAS threads."""
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
@@ -123,6 +119,27 @@ def test_quenched_moments_independent_of_blas_threads():
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
+    return outputs
+
+
+def test_quenched_moments_independent_of_blas_threads():
+    code = (
+        "from pspinlab import ModelParams, quenched_moments, sample_disorder\n"
+        "q = quenched_moments(sample_disorder(ModelParams(18, 3), 3), 0.4)\n"
+        "print(repr((q.m2, q.m3, q.m4, q.h4, q.t_value)))\n"
+    )
+    outputs = outputs_under_blas_threads(code)
+    assert outputs[0] == outputs[1]
+
+
+def test_h4_direct_independent_of_blas_threads():
+    # at (15, 4) the pairs fall into 12910 symmetric differences: a BLAS
+    # dot that long splits its sum by thread count
+    code = (
+        "from pspinlab import ModelParams, h4_direct, sample_disorder\n"
+        "print([repr(h4_direct(sample_disorder(ModelParams(15, 4), s))) for s in range(4)])\n"
+    )
+    outputs = outputs_under_blas_threads(code)
     assert outputs[0] == outputs[1]
 
 
