@@ -79,6 +79,7 @@ from .momentlab import (
     j_mgf_mc,
     pair_moment_paths,
     pair_statistic_moment,
+    pair_sums,
     quenched_moments,
 )
 from .harness import (

@@ -49,12 +49,12 @@ from .model import check_enumeration_budget, j_term
 from .momentlab import (
     BRUTE_PAIR_N,
     free_energy_and_moments,
-    h3_representation,
-    h4_direct,
     pair_moment_paths,
     pair_plan,
+    pair_sums,
 )
-from .multiindex import ModelParams, check_coupling_budget, derive_seed, sample_disorder
+from .multiindex import (ModelParams, check_coupling_budget, check_seed, derive_seed,
+                         sample_disorder)
 from .theory import beta_p, clt_variance, limit_constants
 
 __all__ = [
@@ -140,6 +140,7 @@ class ExperimentConfig:
             )
         if self.replicas < 1:
             raise InvalidParametersError(f"replicas={self.replicas} must be >= 1")
+        check_seed(self.base_seed)
         mode = _MODE_TABLE[self.mode]
         if mode.statistic is not None and self.replicas < 2:
             raise InvalidParametersError(
@@ -290,9 +291,10 @@ def _row(config: ExperimentConfig, a_exp: Optional[float], idx: int) -> tuple:
         moments.m2**2 / 8.0 + abs(moments.m4) / 24.0 + a4 / 12.0 * moments.j4_sum
     )
     gap_rhs = half_p * (j_n - beta * beta / 2.0)
+    h3, h4 = pair_sums(disorder)
     residuals = {
-        "h3_enumeration": abs(h3_representation(disorder) + moments.m3) / scale3,
-        "h4_decomposition": abs(moments.h4 - h4_direct(disorder)) / scale4,
+        "h3_enumeration": abs(h3 + moments.m3) / scale3,
+        "h4_decomposition": abs(moments.h4 - h4) / scale4,
         "t1_gap_identity": abs(t1 - gap - gap_rhs) / max(abs(t1), abs(gap), 1.0),
     }
     if params.p % 2:

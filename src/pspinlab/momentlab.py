@@ -5,15 +5,16 @@ folded on the global flip in the theorem modes and unfolded for the
 identity checks, where E[H^3] = 0 at odd p must cancel for real.  The same
 quantities have enumeration-free combinatorial forms built from bitmask
 algebra: a product sigma_A sigma_B ... averages to 1 exactly when the
-symmetric difference of the index sets is empty, and to 0 otherwise.  That
-yields
+symmetric difference of the index sets is empty, and to 0 otherwise.  With
+the pair table T(v) defined below, that yields
 
 * the cubic representation  E_sigma(-H^3) = a_N^3 sum_{(distinct)} J_A J_B J_C
-  over ordered triples with C = A xor B,
+  over ordered triples with C = A xor B, that is a_N^3 sum_C J_C T(C),
 * the fully-distinct quartic statistic
   H4 = (a_N^4/4!) sum_{(distinct)} J_A J_B J_C J_D over quadruples with
-  empty symmetric difference, linked to the moments by the decomposition
-  -E(H^2)^2/8 + E(H^4)/24 = -(a_N^4/12) sum_A J_A^4 + H4,
+  empty symmetric difference (two pairs of one difference v), that is
+  (a_N^4/4!) (sum_{v != 0} T(v)^2 - 2 sum_{A != B} J_A^2 J_B^2), linked to
+  the moments by -E(H^2)^2/8 + E(H^4)/24 = -(a_N^4/12) sum_A J_A^4 + H4,
 * the Taylor proxy  T_N = 1 - b^4 E(H^2)^2/8 - b^3 E(H^3)/6 + b^4 E(H^4)/24.
 
 Closed-form disorder expectations (the first moment of the deflated
@@ -22,9 +23,10 @@ evaluated in log domain, with Monte Carlo estimators provided for
 agreement tests.  Pair-overlap moments are computed in exact integer
 arithmetic along two independent routes so equality is bit-exact.
 
-The index combinatorics of the pair sums depend only on (N, p): they are
-built once per (N, p), under a byte budget, into a cached pair plan that
-every disorder replica reuses, so a replica only gathers and bins couplings.
+Both sums share one table over the ordered coupling pairs,
+T(v) = sum_{A xor B = v} J_A J_B.  Its index work depends only on (N, p):
+it is built once per (N, p), under a byte budget, into a cached pair plan
+that every disorder replica reuses.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ __all__ = [
     "h3_representation",
     "h4_statistic",
     "h4_direct",
+    "pair_sums",
     "check_pair_budget",
     "pair_plan",
     "h4_quadruple_loop",
@@ -68,13 +71,13 @@ __all__ = [
     "pair_moment_paths",
 ]
 
-# Building the pair plan peaks at 49-61 B per coupling pair (tracemalloc,
-# n = 495..3060, p = 3..5: n^2 uint64 differences, np.unique's sort and
-# inverse); a call adds 16 B.  The harness builds the plan before its pool
-# forks, so workers share the parent's copy.
+# Building the pair plan peaks at 49.0-49.3 B per coupling pair (tracemalloc,
+# n = 495..3060, p = 3..6: n^2 uint64 differences, np.unique's sort and
+# inverse); it keeps 4.0-4.3 B, and a call adds 8 B per bin and one row block.
+# The harness builds the plan before its pool forks, so workers share it.
 _PLAN_BYTES_PER_PAIR = 64
 _PLAN_BYTE_BUDGET = 2 * 2**30
-_H3_BLOCK_PAIRS = 25_000_000  # h3 row block = this // n rows; block sums add in order
+_PAIR_BLOCK_ENTRIES = 2**14   # pair-table row block = this // n rows: a 128 KiB scratch
 _QUAD_BUDGET = 2 * 10**6      # binom^3 cap for the literal quadruple loop
 BRUTE_PAIR_N = 14             # brute-force pair-moment budget
 _SIGMA_TAG = 0x5349474D41     # auxiliary stream id for configuration draws
@@ -134,22 +137,8 @@ def _moments_from_sums(disorder: Disorder, beta: float, s2, s3, s4) -> QuenchedM
 
 
 def h3_representation(disorder: Disorder) -> float:
-    """E_sigma(-H^3) by pure index combinatorics, no enumeration.
-
-    Sums a_N^3 J_A J_B J_C over ordered pairs (A, B) with |A xor B| = p and
-    C = A xor B; each ordered triple with empty symmetric difference is hit
-    exactly once.  For odd p the sum is empty (two p-sets always have a
-    symmetric difference of even size) and the representation vanishes
-    identically, matching the vanishing of E[H^3].  The rank triples come
-    from the pair plan built once per (N, p), in row blocks.
-    """
-    params = disorder.params
-    couplings = disorder.couplings
-    total = 0.0
-    for a, b, c in pair_plan(params.N, params.p)[0]:
-        product = couplings.take(a) * couplings.take(b) * couplings.take(c)
-        total += float(np.sum(product))
-    return params.a_n**3 * total
+    """E_sigma(-H^3) = a_N^3 sum_C J_C T(C), see :func:`pair_sums`; 0.0 at odd p."""
+    return pair_sums(disorder)[0]
 
 
 def h4_statistic(disorder: Disorder) -> float:
@@ -162,26 +151,39 @@ def h4_statistic(disorder: Disorder) -> float:
 
 
 def h4_direct(disorder: Disorder) -> float:
-    """H4 by grouping coupling pairs on their symmetric difference.
+    """H4 = a_N^4/24 (sum_{v != 0} T(v)^2 - 2 (j2^2 - j4)), see :func:`pair_sums`."""
+    return pair_sums(disorder)[1]
 
-    The quadruple condition A xor B xor C xor D = 0 says the two pairs
-    share a symmetric difference v; summing T(v)^2 over v counts every
-    ordered quadruple, and the only colliding (non-distinct) combinations
-    are (C, D) = (A, B) or (B, A), removed exactly by 2 sum_{A != B}
-    J_A^2 J_B^2.  Checked against the literal quadruple loop at small N.
-    The pairs' groups by v come from the pair plan built once per (N, p);
-    group 0 is v = 0, the diagonal A = B, and is dropped.
+
+def pair_sums(disorder: Disorder) -> tuple:
+    """(E_sigma(-H^3), H4) from one pair table T(v) = sum_{A xor B = v} J_A J_B.
+
+    A triple with empty symmetric difference is a pair (A, B) and the
+    coupling C = A xor B != 0 (so A != B): h3 = a_N^3 sum_C J_C T(C).  At odd p
+    every difference has even size, none is a coupling, and h3 is exactly 0.0.
+    T(v)^2 counts the quadruples with A xor B = C xor D = v; at v != 0 the
+    non-distinct ones, (C, D) = (A, B) or (B, A), each sum to j2^2 - j4
+    (j_k = sum J_A^k): h4 = a_N^4/24 (sum_{v != 0} T(v)^2 - 2 (j2^2 - j4)).
+    Only pairs of rank A < B are binned, T = 2 T_half exactly, in the plan's
+    row blocks; np.add.at adds in index order, so a bin sums row-major.
     """
     params = disorder.params
-    groups = pair_plan(params.N, params.p)[1]
+    blocks, n_bins, ranks, bins = pair_plan(params.N, params.p)
     couplings = disorder.couplings
-    outer = (couplings[:, None] * couplings[None, :]).ravel()
-    t_by_diff = np.bincount(groups, weights=outer)[1:]
+    table = np.zeros(n_bins)
+    scratch = np.empty(blocks[0][1].size)
+    for start, block_bins in blocks:
+        rows = scratch[: block_bins.size].reshape(-1, couplings.size - start)
+        # einsum, not a broadcast multiply, which takes two 64 KiB ufunc buffers
+        np.einsum("i,j->ij", couplings[start : start + len(rows)], couplings[start:], out=rows)
+        np.add.at(table, block_bins, rows.ravel())
+    table *= 2.0
     # einsum, not np.dot: a long BLAS dot splits its sum by thread count
+    h3 = float(np.einsum("i,i->", couplings[ranks], table[bins]))
     j2 = float(np.einsum("i,i->", couplings, couplings))
     j4 = float(np.sum(couplings**4))
-    quad_sum = float(np.einsum("i,i->", t_by_diff, t_by_diff)) - 2.0 * (j2 * j2 - j4)
-    return params.a_n**4 / 24.0 * quad_sum
+    quad_sum = float(np.einsum("i,i->", table[1:], table[1:])) - 2.0 * (j2 * j2 - j4)
+    return params.a_n**3 * h3, params.a_n**4 / 24.0 * quad_sum
 
 
 def check_pair_budget(N: int, p: int) -> None:
@@ -196,28 +198,25 @@ def check_pair_budget(N: int, p: int) -> None:
 
 @lru_cache(maxsize=1)
 def pair_plan(N: int, p: int) -> tuple:
-    """(h3 blocks, h4 groups), read-only, shared by every disorder.
+    """(row blocks, bin count, coupling ranks, their bins), read-only, for every disorder.
 
-    h3: per row block with hits, the (3, k) int32 ranks A, B, C = A xor B of
-    the pairs with |A xor B| = p.  h4: np.unique's inverse of the n^2 A xor B,
-    kept intp because np.bincount copies any other index type on every call.
+    Bins number the distinct A xor B in increasing order, so bin 0 is v = 0.
+    A row block (start, bins) holds the bins of its rows' pairs with the
+    columns from start on, row-major, the diagonal and below in bin 0.  The
+    ranks and bins are those of the couplings that occur as a difference.
     """
     check_pair_budget(N, p)
     masks = mask_table(N, p)
     n = masks.size
-    block = max(1, _H3_BLOCK_PAIRS // n)
-    h3_blocks = []
-    for start in range(0, n, block):
-        sym = masks[start : start + block, None] ^ masks[None, :]
-        rows, cols = np.nonzero(np.bitwise_count(sym) == np.uint64(p))
-        if rows.size:
-            c_rank = np.searchsorted(masks, sym[rows, cols])
-            h3_blocks.append(np.array([start + rows, cols, c_rank], dtype=np.int32))
-    sym = (masks[:, None] ^ masks[None, :]).ravel()
-    groups = np.unique(sym, return_inverse=True)[1]
-    for x in (groups, *h3_blocks):
+    values, inverse = np.unique((masks[:, None] ^ masks[None, :]).ravel(), return_inverse=True)
+    inverse = inverse.reshape(n, n)
+    rows = max(1, _PAIR_BLOCK_ENTRIES // n)
+    blocks = [(start, np.triu(inverse[start : start + rows, start:], 1).ravel())
+              for start in range(0, n, rows)]
+    _, ranks, bins = np.intersect1d(masks, values, assume_unique=True, return_indices=True)
+    for x in (ranks, bins, *(block_bins for _, block_bins in blocks)):
         x.flags.writeable = False
-    return tuple(h3_blocks), groups
+    return tuple(blocks), values.size, ranks, bins
 
 
 def h4_quadruple_loop(disorder: Disorder) -> float:

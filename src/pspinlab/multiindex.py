@@ -57,20 +57,28 @@ __all__ = [
     "sample_disorder",
     "coupling_entry",
     "derive_seed",
+    "check_seed",
     "save_disorder",
     "load_disorder",
 ]
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` itself if it is a 64-bit word; masking would alias a wider one."""
+    if not 0 <= seed <= _MASK64:
+        raise InvalidParametersError(f"seed {seed} is outside [0, 2^64)")
+    return seed
+
+
 def derive_seed(*words: int) -> int:
-    """Mix integer words into a 64-bit seed (splitmix64 finalizer chain).
+    """Mix 64-bit words, wider ones refused, into a 64-bit seed (splitmix64).
 
     Used for per-replica seeds ``derive_seed(base_seed, replica_index)`` and
     for auxiliary streams.  Pure arithmetic, identical across processes.
     """
     z = 0x243F6A8885A308D3
     for w in words:
-        z ^= w & _MASK64
+        z ^= check_seed(w)
         z = (z + 0x9E3779B97F4A7C15) & _MASK64
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -262,7 +270,6 @@ def sample_disorder(params: ModelParams, seed: int) -> Disorder:
     stream position of entry r is r itself (see :func:`coupling_entry`).
     """
     check_coupling_budget(params.N, params.p)
-    seed = seed & _MASK64
     raw = philox_words(seed, params.n_couplings)
     return Disorder(params=params, seed=seed, couplings=_raw_to_normal(raw))
 
@@ -275,7 +282,7 @@ def coupling_entry(params: ModelParams, seed: int, r: int) -> float:
     """
     if not (0 <= r < params.n_couplings):
         raise InvalidParametersError(f"coupling rank {r} out of range")
-    block = philox_words(seed & _MASK64, 4, r >> 2)
+    block = philox_words(seed, 4, r >> 2)
     return float(_raw_to_normal(block[r & 3 : (r & 3) + 1])[0])
 
 

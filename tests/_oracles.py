@@ -5,6 +5,7 @@ library's incremental or transform-based code paths.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -106,6 +107,43 @@ def h4_pair_grouping(disorder):
     j4 = float(np.sum(couplings**4))
     quad_sum = float(np.einsum("i,i->", t_by_diff, t_by_diff)) - 2.0 * (j2 * j2 - j4)
     return params.a_n**4 / 24.0 * quad_sum
+
+
+def exact_pair_sums(disorder):
+    """((h3, h3 size), (h4, h4 size)) from exact rational pair products.
+
+    The values are the pair-sum formulas evaluated without rounding, on
+    integer multiples of the couplings' common binary denominator, times the
+    floating prefactors the library applies (a_N^3 and a_N^4 / 24).  Each
+    size is the same formula on |J| with every subtracted term added: the
+    sum of the magnitudes of the terms that are rounded and summed.
+    """
+    params = disorder.params
+    masks = mask_table(params.N, params.p)
+    exact = [Fraction(float(j)) for j in disorder.couplings]
+    scale = max(x.denominator for x in exact)
+    ints = np.array([int(x * scale) for x in exact], dtype=object)
+    sym = (masks[:, None] ^ masks[None, :]).ravel()
+    off = np.flatnonzero(sym != 0)
+    values, inverse = np.unique(sym[off], return_inverse=True)
+    order = np.argsort(inverse, kind="stable")
+    starts = np.searchsorted(inverse[order], np.arange(values.size))
+
+    def table(x):
+        # T(v) over the ordered pairs A != B, one entry per v != 0
+        return np.add.reduceat(np.multiply.outer(x, x).ravel()[off[order]], starts)
+
+    t, u = table(ints), table(np.abs(ints))
+    _, ranks, bins = np.intersect1d(masks, values, return_indices=True)
+    h3 = sum(ints[ranks] * t[bins])
+    h3_size = sum(np.abs(ints[ranks]) * u[bins])
+    j2 = sum(ints * ints)
+    j4 = sum(ints**4)
+    h4 = sum(t * t) - 2 * (j2 * j2 - j4)
+    h4_size = sum(u * u) + 2 * (j2 * j2 + j4)
+    a3 = Fraction(params.a_n**3) / scale**3
+    a4 = Fraction(params.a_n**4 / 24.0) / scale**4
+    return (a3 * h3, a3 * h3_size), (a4 * h4, a4 * h4_size)
 
 
 def beta_p_scalar_scan(p, tol=1e-10):

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from pspinlab import ModelParams, derive_seed, free_energy, j_term, sample_disorder
+from pspinlab import ModelParams, derive_seed, free_energy, harness, j_term, sample_disorder
 from pspinlab.cli import build_parser, main
 
 
@@ -190,6 +190,26 @@ def test_non_finite_result_writes_no_report(capsys, tmp_path):
     )
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "not finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_seed_outside_64_bits_exit_1(capsys, tmp_path, monkeypatch):
+    # refused before any replica and any output, not masked to another seed
+    def no_replica(*args):
+        raise AssertionError("a replica ran before the seed check")
+
+    monkeypatch.setattr(harness, "sample_disorder", no_replica)
+    out_path = tmp_path / "x.csv"
+    run = ["run", "--mode", "theorem1", "--n", "8", "--p", "3", "--beta", "0.3",
+           "--replicas", "4", "--out", str(out_path)]
+    for argv in (
+        run + ["--seed", "-1"],
+        run + ["--seed", "18446744073709551621"],
+        ["exact", "--n", "8", "--p", "3", "--seed", "-1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: seed") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 

@@ -357,8 +357,12 @@ def test_identities_mode_report():
     assert report.to_json_dict()["all_pass"]
 
 
+def real_h3_nan_h4(disorder):
+    return momentlab.pair_sums(disorder)[0], math.nan
+
+
 def test_identity_gate_fails_on_nan(monkeypatch):
-    monkeypatch.setattr(harness, "h4_direct", lambda disorder: math.nan)
+    monkeypatch.setattr(harness, "pair_sums", real_h3_nan_h4)
     report = run_experiment(config(9, 4, 0.5, "identities", 3, seed=2))
     entry = report.identities["h4_decomposition"]
     assert math.isnan(entry["max_residual"]) and not entry["pass"]
@@ -369,7 +373,7 @@ def test_identity_gate_fails_on_nan(monkeypatch):
 
 
 def test_nan_identity_residual_written_as_null(monkeypatch, capsys, tmp_path):
-    monkeypatch.setattr(harness, "h4_direct", lambda disorder: math.nan)
+    monkeypatch.setattr(harness, "pair_sums", real_h3_nan_h4)
     out = tmp_path / "ids.json"
     argv = ["run", "--mode", "identities", "--n", "9", "--p", "4", "--beta", "0.5",
             "--replicas", "3", "--seed", "2", "--out", str(out)]

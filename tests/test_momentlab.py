@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -32,10 +33,11 @@ from pspinlab import (
     log_partition,
     pair_moment_paths,
     pair_statistic_moment,
+    pair_sums,
     quenched_moments,
     sample_disorder,
 )
-from _oracles import h3_pair_scan, h4_pair_grouping, naive_field_table
+from _oracles import exact_pair_sums, h3_pair_scan, h4_pair_grouping, naive_field_table
 
 
 def make_disorder(N, p, seed):
@@ -211,29 +213,60 @@ def fresh_pair_plan():
     momentlab.pair_plan.cache_clear()
 
 
+def close_to_exact(value, reference):
+    """Within 8 eps of the sum of the terms' magnitudes of the exact value."""
+    exact, size = reference
+    return abs(Fraction(value) - exact) <= 8 * Fraction(np.finfo(np.float64).eps) * size
+
+
 def test_pair_plan_matches_per_call_oracles(fresh_pair_plan):
-    # p = 2, p = N, odd p (empty h3) and even p; equality, not closeness
+    # p = 2, p = N, odd p (empty h3) and even p.  The pair table and the
+    # per-call oracles sum in different orders, so each is held to the exact sum.
     grid = ((4, 2), (8, 2), (11, 2), (5, 5), (6, 6), (7, 3), (9, 3), (13, 5),
             (9, 4), (12, 4), (10, 6))
     for N, p in grid:
         for seed in range(3):
             d = make_disorder(N, p, 7000 + 100 * N + 10 * p + seed)
-            assert h3_representation(d) == h3_pair_scan(d)
-            assert h4_direct(d) == h4_pair_grouping(d)
+            h3_ref, h4_ref = exact_pair_sums(d)
+            h3, h4 = pair_sums(d)
+            assert (h3, h4) == (h3_representation(d), h4_direct(d))
+            for value in (h3, h3_pair_scan(d)):
+                assert close_to_exact(value, h3_ref)
+            for value in (h4, h4_pair_grouping(d)):
+                assert close_to_exact(value, h4_ref)
             if p % 2:
-                assert h3_representation(d) == 0.0
+                assert h3 == 0.0
 
 
 def test_pair_plan_multi_block_h3(fresh_pair_plan, monkeypatch):
+    # 1, 7 and >= n rows per block; np.add.at bins in index order, so every
+    # block size gives the same bits
     N, p = 10, 4
     n = math.comb(N, p)
-    for rows in (1, 7, 64):
+    disorders = [make_disorder(N, p, 7500 + seed) for seed in range(3)]
+    references = [exact_pair_sums(d) for d in disorders]
+    sums = []
+    for rows in (1, 7, n + 5):
         fresh_pair_plan.cache_clear()
-        monkeypatch.setattr(momentlab, "_H3_BLOCK_PAIRS", rows * n)
-        for seed in range(3):
-            d = make_disorder(N, p, 7500 + seed)
-            assert h3_representation(d) == h3_pair_scan(d, block_pairs=rows * n)
+        monkeypatch.setattr(momentlab, "_PAIR_BLOCK_ENTRIES", rows * n)
+        sums.append([pair_sums(d) for d in disorders])
+        for (h3, h4), (h3_ref, h4_ref) in zip(sums[-1], references):
+            assert close_to_exact(h3, h3_ref) and close_to_exact(h4, h4_ref)
         assert len(fresh_pair_plan(N, p)[0]) == -(-n // rows)
+    assert sums[0] == sums[1] == sums[2]
+
+
+def test_pair_sums_memory_bounded(fresh_pair_plan):
+    # one bin table and one row block per call, never an n^2 array (8 MB here)
+    d = make_disorder(14, 4, 7700)
+    pair_sums(d)
+    tracemalloc.start()
+    try:
+        pair_sums(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def test_pair_plan_built_once_per_shape(fresh_pair_plan):

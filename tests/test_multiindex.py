@@ -135,6 +135,19 @@ def test_derive_seed_mixes():
     assert derive_seed(7, 1) != derive_seed(1, 7)
 
 
+def test_seed_outside_64_bits_refused():
+    # masking would make 2^64 + 5 the stream of 5 and -1 that of 2^64 - 1
+    params = ModelParams(N=6, p=3)
+    for seed in (-1, 2**64, 2**64 + 5):
+        with pytest.raises(InvalidParametersError):
+            derive_seed(seed, 0)
+        with pytest.raises(InvalidParametersError):
+            sample_disorder(params, seed)
+        with pytest.raises(InvalidParametersError):
+            coupling_entry(params, seed, 0)
+    assert sample_disorder(params, 2**64 - 1).seed == 2**64 - 1
+
+
 def test_disorder_file_roundtrip(tmp_path):
     params = ModelParams(N=10, p=3, beta=0.4)
     d = sample_disorder(params, 5)
