@@ -62,6 +62,12 @@ ENUMERATION_BUDGET = 30
 # Largest table built in one piece: 2^24 doubles = 128 MiB.
 _DIRECT_TABLE_BITS = 24
 
+# Peak bytes per coupling of one enumeration pass besides its tables
+# (tracemalloc, binom = 1.3e5..2.7e6): 49-78 B for the compact layout, the
+# coupling signs and the scatter weights, next to the cached mask table.
+_PASS_COUPLING_BYTES = 96
+_PASS_BYTE_BUDGET = 2 * 2**30
+
 # FWHT blocking: 2^16 doubles (512 KiB) plus equal scratch fit in L2;
 # stages below 2^8 have rows too short for numpy and run transposed.
 _FWHT_BLOCK_BITS = 16
@@ -369,9 +375,14 @@ def _check_bits(bits: int, N: int) -> None:
 
 
 def check_enumeration_budget(params: ModelParams) -> None:
-    """Refuse an N whose 2^N-state enumeration exceeds the budget."""
+    """Refuse an enumeration beyond 2^30 states or the byte budget of its couplings."""
     if params.N > ENUMERATION_BUDGET:
         raise ResourceLimitError(
             f"N={params.N} exceeds the enumeration budget N <= {ENUMERATION_BUDGET} "
             f"(cost ~ 2^N states)"
+        )
+    if params.n_couplings * _PASS_COUPLING_BYTES > _PASS_BYTE_BUDGET:
+        raise ResourceLimitError(
+            f"binom({params.N},{params.p}) = {params.n_couplings} couplings exceed the "
+            f"{_PASS_BYTE_BUDGET >> 30} GiB enumeration budget at {_PASS_COUPLING_BYTES} B/coupling"
         )

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -380,8 +379,9 @@ def pair_moment_paths(N: int, p: int, k: int):
 @lru_cache(maxsize=None)
 def _brute_signed_sums(N: int, p: int) -> tuple:
     """Per k_dis = 0..N, the sum over p-subsets A of (-1)^|A & {1..k_dis}|."""
-    subsets = list(combinations(range(1, N + 1), p))
-    return tuple(
-        sum(-1 if sum(a <= k_dis for a in A) % 2 else 1 for A in subsets)
-        for k_dis in range(N + 1)
-    )
+    masks = mask_table(N, p)
+    signed = []
+    for k_dis in range(N + 1):
+        odd = np.bitwise_count(masks & np.uint64((1 << k_dis) - 1)) & np.uint8(1)
+        signed.append(masks.size - 2 * int(np.count_nonzero(odd)))
+    return tuple(signed)

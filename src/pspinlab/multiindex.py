@@ -33,10 +33,10 @@ from .errors import DataError, InvalidParametersError, ResourceLimitError
 _MASK64 = (1 << 64) - 1
 _MAGIC = b"PSPN1"
 
-# Peak bytes per coupling (tracemalloc, binom = 1.3e5..1.6e6): building the
-# mask table takes 96-121 B, a Python tuple per multi-index on the way;
-# drawing a disorder takes 24 B (Philox words, then normals).
-_COUPLING_BYTES = 128
+# Peak bytes per coupling (tracemalloc, binom = 1.1e3..2.7e6): building the
+# mask table takes 16-19 B; drawing a disorder takes 24 B (Philox words, then
+# normals), 32 B next to the cached 8 B mask table of an enumerating mode.
+_COUPLING_BYTES = 40
 _COUPLING_BYTE_BUDGET = 2 * 2**30
 
 # A multi-index is a plain tuple of strictly increasing site labels in [1, N].
@@ -236,11 +236,20 @@ def check_coupling_budget(N: int, p: int) -> None:
 @lru_cache(maxsize=None)
 def _mask_table_cached(N: int, p: int) -> np.ndarray:
     check_coupling_budget(N, p)
-    masks = np.fromiter(
-        (index_to_mask(A) for A in enumerate_multi_indices(N, p)),
-        dtype=np.uint64,
-        count=math.comb(N, p),
-    )
+    # Colex order is ascending mask order, so over the sites 1..n
+    # masks(n, k) = masks(n-1, k) ++ (masks(n-1, k-1) | 1 << (n-1)).
+    # rows[k] holds masks(n, k); k runs high to low so that rows[k-1] is
+    # still masks(n-1, k-1), and only the k that can still reach p are kept.
+    rows = [np.zeros(1, dtype=np.uint64)] + [np.empty(0, dtype=np.uint64)] * p
+    for n in range(1, N + 1):
+        bit = np.uint64(1 << (n - 1))
+        for k in range(min(n, p), max(p - N + n, 1) - 1, -1):
+            kept, below = rows[k], rows[k - 1]
+            row = np.empty(kept.size + below.size, dtype=np.uint64)
+            row[: kept.size] = kept
+            np.bitwise_or(below, bit, out=row[kept.size :])
+            rows[k] = row
+    masks = rows[p]
     masks.setflags(write=False)
     return masks
 

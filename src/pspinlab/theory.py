@@ -14,8 +14,10 @@ N(mu, sigma^2) with
 with X standard normal.  Gaussian moments are computed twice: exact
 integer/rational expansion against E[X^{2m}] = (2m-1)!!, and Gauss-Hermite
 quadrature with enough nodes for exact polynomial integration.  The odd-p
-sigma^2 is additionally cross-checked against adaptive quadrature of the
-defining integral.
+sigma^2 is additionally cross-checked against the trapezoid rule for the
+defining integral on a uniform grid, which converges geometrically for an
+entire, Gaussian-damped integrand.  beta_p is polished by a bounded Brent
+minimizer kept here, so scipy is needed at run time for scipy.special only.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.polynomial import polyval
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from .covariance import MomentPolynomial, hermite
 from .errors import IdentityCheckError, InvalidParametersError, NumericalError
@@ -124,6 +124,82 @@ def _excess_grid(u: np.ndarray, p: int) -> np.ndarray:
     return np.where(expo > 700.0, np.inf, 2.0 * dev + big * (_LN2 + dev))
 
 
+def _bounded_brent(func, lo: float, hi: float, xatol: float, maxiter: int = 500) -> tuple:
+    """(x, func(x)) at a minimum of func on [lo, hi]: golden section plus parabolas.
+
+    The bounded Brent method as scipy's ``minimize_scalar(method="bounded")``
+    runs it, operation for operation, so the minimizer keeps its bits.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            raise NumericalError(f"bounded Brent did not converge in {num} evaluations")
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        raise NumericalError("bounded Brent met a NaN objective")
+    return xf, fx
+
+
 def beta_p(p: int, tol: float = 1e-10) -> float:
     """Critical inverse temperature: sqrt of inf over (0,1) of g(m).
 
@@ -145,13 +221,10 @@ def beta_p(p: int, tol: float = 1e-10) -> float:
     i = int(np.argmin(_excess_grid(np.exp(t_grid), p)))
     lo = t_grid[max(i - 1, 0)]
     hi = t_grid[min(i + 1, _GRID_POINTS - 1)]
-    res = minimize_scalar(
-        lambda t: _excess_objective(math.exp(t), p), bounds=(lo, hi),
-        method="bounded", options={"xatol": tol},
-    )
-    if not res.success or not (lo <= res.x <= hi):
+    t_min, excess = _bounded_brent(lambda t: _excess_objective(math.exp(t), p), lo, hi, tol)
+    if not (lo <= t_min <= hi):
         raise NumericalError(f"failed to bracket the minimum of g for p={p}")
-    excess = min(float(res.fun), _excess_objective(math.exp(t_grid[i]), p))
+    excess = min(excess, _excess_objective(math.exp(t_grid[i]), p))
     return math.sqrt(2.0 * _LN2 + excess)
 
 
@@ -214,8 +287,9 @@ def limit_constants(beta: float, p: int) -> LimitConstants:
 
     The Gaussian moment entering sigma^2 is computed by the exact and the
     quadrature route (must agree to 1e-9 relative); for p odd the variance
-    is additionally matched against adaptive quadrature of
-    (1/(12 sqrt(2 pi))) Int He_p(m)^4 e^{-m^2/2} dm - p!^2/8 to 1e-8.
+    is additionally matched to 1e-8 against
+    (1/(12 sqrt(2 pi))) Int He_p(m)^4 e^{-m^2/2} dm - p!^2/8, the integral
+    taken by the trapezoid rule with step 1/8 on [-24, 24].
     """
     if p < 3:
         raise InvalidParametersError(f"p={p} must be >= 3")
@@ -235,10 +309,7 @@ def limit_constants(beta: float, p: int) -> LimitConstants:
         _require_close(moment, gaussian_moment(he, 4, method="quadrature"),
                        1e-9, "E[He_p^4] exact vs quadrature")
         base = moment / 12.0 - fact**2 / 8.0
-        integral, _ = quad(
-            lambda m: he(m) ** 4 * math.exp(-m * m / 2.0),
-            -np.inf, np.inf, epsabs=0.0, epsrel=1e-12, limit=200,
-        )
+        integral = _hermite_fourth_integral(he)
         integral_form = integral / (12.0 * math.sqrt(2.0 * math.pi)) - fact**2 / 8.0
         _require_close(base, integral_form, 1e-8, "odd-p sigma^2 vs integral form")
         mu = -(beta**4) * fact / 4.0
@@ -251,6 +322,18 @@ def limit_constants(beta: float, p: int) -> LimitConstants:
         a_exponent=a_exponent,
         alpha_exponent=a_exponent - 1.0,
     )
+
+
+def _hermite_fourth_integral(poly: MomentPolynomial) -> float:
+    """Int q(m)^4 e^{-m^2/2} dm over the real line, by the trapezoid rule.
+
+    A uniform grid of step 1/8 on [-24, 24].  For q of degree at most 15
+    the integrand past |m| = 24 is below 1e-40 of the integral, and the
+    rule's error on an entire, Gaussian-damped integrand falls
+    geometrically with the step, far below the rounding of the sum.
+    """
+    m = np.linspace(-24.0, 24.0, 385)
+    return float(np.trapezoid(poly(m) ** 4 * np.exp(-m * m / 2.0), dx=0.125))
 
 
 def _require_close(a: float, b: float, rtol: float, label: str) -> None:

@@ -6,6 +6,7 @@ library's incremental or transform-based code paths.
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -162,3 +163,12 @@ def beta_p_scalar_scan(p, tol=1e-10):
         method="bounded", options={"xatol": tol},
     )
     return math.sqrt(2.0 * math.log(2.0) + min(float(res.fun), float(values[i])))
+
+
+def brute_signed_sums_loop(N, p):
+    """Per k = 0..N, the sum over p-subsets A of (-1)^|A & {1..k}|, subset by subset."""
+    subsets = list(combinations(range(1, N + 1), p))
+    return tuple(
+        sum(-1 if sum(a <= k for a in A) % 2 else 1 for A in subsets)
+        for k in range(N + 1)
+    )

@@ -223,6 +223,31 @@ def test_unwritable_out_exit_1(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_report_to_directory_leaves_no_temp_file(capsys, tmp_path):
+    target = tmp_path / "reports"
+    target.mkdir()
+    code, _, err = run_cli(
+        capsys, "run", "--mode", "identities", "--n", "6", "--p", "3",
+        "--beta", "0.3", "--replicas", "2", "--out", str(target),
+    )
+    assert code == 1 and err.startswith("error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["reports"]
+    assert list(target.iterdir()) == []
+
+
+def test_replica_count_beyond_row_budget_exit_2(capsys, tmp_path):
+    # Without the row budget this run keeps rows until memory runs out, so
+    # this test must not be run against code that lacks the check.
+    out_path = tmp_path / "x.csv"
+    code, out, err = run_cli(
+        capsys, "run", "--mode", "jterm_clt", "--n", "12", "--p", "3",
+        "--beta", "0.3", "--replicas", "99999999999999999999", "--out", str(out_path),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "replicas" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_identities_subcommand_pass(capsys, tmp_path):
     out_path = tmp_path / "ids.json"
     code, out, _ = run_cli(

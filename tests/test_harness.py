@@ -27,6 +27,8 @@ from pspinlab import (
 from pspinlab import harness, momentlab
 from pspinlab.cli import main
 from pspinlab.harness import _resolve_threads
+from pspinlab.model import check_enumeration_budget
+from pspinlab.multiindex import check_coupling_budget
 
 
 def config(N, p, beta, mode, replicas, seed=0, **kw):
@@ -292,6 +294,17 @@ def test_enumeration_budget():
         run_experiment(config(40, 3, 0.4, "theorem1", 2))
     with pytest.raises(ResourceLimitError):
         run_experiment(config(31, 3, 0.4, "identities", 2))
+
+
+def test_enumeration_pass_coupling_budget():
+    # binom(30, 10) = 3.0e7 couplings fit the sampling budget, not an
+    # enumeration pass, which holds more per coupling
+    check_coupling_budget(30, 10)
+    check_enumeration_budget(ModelParams(N=30, p=9))
+    with pytest.raises(ResourceLimitError, match="enumeration budget"):
+        check_enumeration_budget(ModelParams(N=30, p=10))
+    with pytest.raises(ResourceLimitError, match="enumeration budget"):
+        run_experiment(config(30, 10, 0.4, "theorem1", 2))
 
 
 def test_identities_pair_budget_before_first_replica(monkeypatch, capsys):

@@ -1,6 +1,9 @@
 """Package layout: modules use only each other's public names."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pspinlab
@@ -25,3 +28,41 @@ def test_no_private_imports_across_modules():
     assert len(modules) >= 9
     offenders = {p.name: private_imports(p) for p in modules}
     assert {name: hits for name, hits in offenders.items() if hits} == {}
+
+
+def scipy_solver_imports(path: Path) -> list:
+    """Every import of scipy.optimize or scipy.integrate in one module."""
+    solvers = {"scipy.optimize", "scipy.integrate"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        found += [n for n in names if any(n == s or n.startswith(s + ".") for s in solvers)]
+    return found
+
+
+def test_no_scipy_solvers_at_run_time():
+    # scipy.optimize and scipy.integrate are test oracles, not run-time code
+    offenders = {p.name: scipy_solver_imports(p) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in offenders.items() if hits} == {}
+
+
+def test_runs_load_no_scipy_solvers(tmp_path):
+    script = """
+import sys
+from pspinlab.cli import main
+assert main(["run", "--mode", "theorem1", "--n", "8", "--p", "3", "--beta", "0.4",
+             "--replicas", "4", "--seed", "2", "--out", sys.argv[1]]) == 0
+assert main(["constants", "--p", "5", "--beta", "0.3"]) == 0
+print(sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules))
+"""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "run.csv")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "[]"

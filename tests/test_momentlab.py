@@ -37,7 +37,13 @@ from pspinlab import (
     quenched_moments,
     sample_disorder,
 )
-from _oracles import exact_pair_sums, h3_pair_scan, h4_pair_grouping, naive_field_table
+from _oracles import (
+    brute_signed_sums_loop,
+    exact_pair_sums,
+    h3_pair_scan,
+    h4_pair_grouping,
+    naive_field_table,
+)
 
 
 def make_disorder(N, p, seed):
@@ -299,6 +305,13 @@ def test_h4_disorder_mean_is_zero():
         vals[r] = h4_statistic(make_disorder(8, 3, derive_seed(4242, r)))
     se = float(np.std(vals, ddof=1)) / math.sqrt(M)
     assert abs(float(np.mean(vals))) <= 4.0 * se
+
+
+def test_brute_signed_sums_match_subset_loop():
+    # the parity count over the mask table gives the subset loop's integers
+    for N in range(1, 11):
+        for p in range(1, N + 1):
+            assert momentlab._brute_signed_sums(N, p) == brute_signed_sums_loop(N, p), (N, p)
 
 
 def exact_h4_second_moment(N, p):

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from pspinlab import (
     save_disorder,
     unrank,
 )
+from pspinlab import multiindex
 
 
 def test_enumerate_examples():
@@ -85,6 +87,36 @@ def test_masks_align_with_colex_rank():
         for i, a in enumerate(enumerate_multi_indices(N, p)):
             assert int(masks[i]) == index_to_mask(a)
             assert mask_to_index(int(masks[i])) == a
+
+
+def test_mask_table_matches_tuple_oracle():
+    # p = 0 is no index set; both routes refuse it
+    for N in (1, 5, 12):
+        for call in (mask_table, enumerate_multi_indices):
+            with pytest.raises(InvalidParametersError):
+                call(N, 0)
+    grid = [(N, p) for N in range(1, 9) for p in range(1, N + 1)]
+    for N, p in grid + [(12, 4), (20, 3), (20, 8), (20, 20), (64, 1), (64, 2)]:
+        oracle = np.array(
+            [index_to_mask(a) for a in enumerate_multi_indices(N, p)], dtype=np.uint64
+        )
+        table = mask_table(N, p)
+        assert table.dtype == np.uint64 and not table.flags.writeable
+        assert np.array_equal(table, oracle), (N, p)
+
+
+def test_mask_table_build_memory_bounded():
+    # the table itself is 8 B per coupling; its build stays within a few rows
+    n = math.comb(22, 6)
+    multiindex._mask_table_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        mask_table(22, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        multiindex._mask_table_cached.cache_clear()
+    assert peak < 48 * n
 
 
 def test_model_params_validation():

@@ -14,6 +14,8 @@ from pspinlab import (
     limit_constants,
     phi,
 )
+from pspinlab.errors import NumericalError
+from pspinlab.theory import _bounded_brent, _hermite_fourth_integral
 
 from _oracles import beta_p_scalar_scan
 
@@ -159,3 +161,38 @@ def test_limit_constants_all_small_p():
     for p in range(3, 11):
         lim = limit_constants(0.7, p)
         assert lim.sigma2 > 0.0
+
+
+def test_bounded_brent_matches_scipy_bit_for_bit():
+    from scipy.optimize import minimize_scalar
+
+    cases = [
+        (lambda x: (x - 0.3) ** 2, 0.0, 1.0, 1e-10),
+        (lambda x: math.cos(x) + 0.1 * x, 1.0, 5.0, 1e-8),
+        (lambda x: abs(x - 2.0), -3.0, 7.0, 1e-12),
+        (lambda x: x, 0.0, 1.0, 1e-5),
+    ]
+    for func, lo, hi, xatol in cases:
+        res = minimize_scalar(func, bounds=(lo, hi), method="bounded",
+                              options={"xatol": xatol})
+        assert _bounded_brent(func, lo, hi, xatol) == (res.x, res.fun)
+
+
+def test_bounded_brent_refuses_nan_objective_and_maxiter():
+    with pytest.raises(NumericalError):
+        _bounded_brent(lambda x: math.nan, 0.0, 1.0, 1e-10)
+    with pytest.raises(NumericalError):
+        _bounded_brent(math.cos, 1.0, 5.0, 1e-10, maxiter=3)
+
+
+def test_trapezoid_integral_matches_adaptive_quadrature():
+    # the odd-p sigma^2 cross-check: the trapezoid grid against scipy's quad
+    from scipy.integrate import quad
+
+    for p in range(3, 16, 2):
+        he = hermite(p)
+        oracle, _ = quad(
+            lambda m: he(m) ** 4 * math.exp(-m * m / 2.0),
+            -np.inf, np.inf, epsabs=0.0, epsrel=1e-12, limit=200,
+        )
+        assert _hermite_fourth_integral(he) == pytest.approx(oracle, rel=1e-12, abs=0.0), p
