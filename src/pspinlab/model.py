@@ -13,8 +13,10 @@ enumeration engines coexist:
   vector scattered at the subset bitmasks, costing O(N 2^N) instead of
   O(2^N binom).  Each chunk fixes the high state bits, which fold into the
   coupling signs, and transforms the cache-sized subcube over the low bits.
-  A chunk is scattered straight into a compact layout of the columns its
-  low FWHT stages can reach; the rest hold +0.0 and are not transformed.
+  Before stage k only the entries whose bits >= k have popcount <= p can
+  be nonzero, so the transform runs on that Hamming ball alone, grouped
+  by radius so that no stage gathers (:class:`_BallPlan`); the skipped
+  entries hold +0.0 and the result keeps the dense transform's bits.
   It is the one table builder: :func:`field_table` is its one-chunk case.
 
 :func:`partition_and_power_sums` is the one pass over the field table: it
@@ -32,6 +34,7 @@ the folded pass.
 from __future__ import annotations
 
 import math
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -63,15 +66,17 @@ ENUMERATION_BUDGET = 30
 _DIRECT_TABLE_BITS = 24
 
 # Peak bytes per coupling of one enumeration pass besides its tables
-# (tracemalloc, binom = 1.3e5..2.7e6): 49-78 B for the compact layout, the
-# coupling signs and the scatter weights, next to the cached mask table.
+# (tracemalloc over two 2^16 chunks, binom = 1.7e5..2.2e6): 35-40 B for the
+# scatter index, the coupling signs and the scatter weights, 46-48 B with
+# the mask table built inside.
 _PASS_COUPLING_BYTES = 96
 _PASS_BYTE_BUDGET = 2 * 2**30
 
-# FWHT blocking: 2^16 doubles (512 KiB) plus equal scratch fit in L2;
-# stages below 2^8 have rows too short for numpy and run transposed.
+# FWHT blocking: a block of 2^16 doubles (512 KiB) and its two ping-pong
+# buffers fit in L2.  Every plan runs in the same buffers, under the lock.
 _FWHT_BLOCK_BITS = 16
-_FWHT_LOW_BITS = 8
+_BLOCK_BUFFERS = (np.empty(1 << _FWHT_BLOCK_BITS), np.empty(1 << _FWHT_BLOCK_BITS))
+_BLOCK_LOCK = threading.Lock()
 
 # A configuration is a plain int bitmask; bit i set <=> sigma_{i+1} = -1.
 SpinConfiguration = int
@@ -178,80 +183,149 @@ def _wht_axis0(x: np.ndarray, t: np.ndarray) -> None:
         hi[...] = diff
 
 
-@lru_cache(maxsize=2)
-def _compact_layout(N: int, p: int, bits: int) -> tuple:
-    """Where the low FWHT stages of a 2^bits chunk find the coupling scatter.
+class _BallPlan:
+    """The Hamming-ball schedule of the FWHT of one 2^bits block.
 
-    Each 2^_FWHT_BLOCK_BITS block runs its low stages on a transposed
-    (2^_FWHT_LOW_BITS, columns) copy, one column per value of the block's
-    upper bits.  A coupling mask has p bits set, so the columns of block b
-    whose popcount exceeds p - popcount(b) receive no coupling and hold
-    only +0.0, which the butterflies keep exactly +0.0.  Only the live
-    columns are laid out: block after block, each a (2^_FWHT_LOW_BITS, live)
-    array.  Returns the compact position of the low ``bits`` bits of each
-    mask (read-only) and the live columns of each block.
+    Before its transform the block is nonzero only at indices of popcount
+    <= radius.  Before stage lv an entry (H, L), H its high bits, L its low
+    lv bits, can be nonzero only if popcount(H) <= radius, so the live rows
+    H are grouped by rho = radius - popcount(H), each class a contiguous
+    (count, 2^lv) array.  A class-0 row is the transform of one entry at
+    L = 0: one constant, kept as a (count, 1) prefix of the scattered slots.
+    Class rho at level lv lists the even children of the class-rho parents,
+    then the odd children of the class-(rho+1) parents, so stage lv is, for
+    rho >= 1, out[:, :h] = A + B and out[:, h:] = A - B with A a prefix of
+    class rho and B a suffix of class rho-1.  Each entry sees the stages in
+    order with the same a + b and a - b; a skipped butterfly had a +0.0
+    partner and a +/- 0.0 = a (tables never hold -0.0), so the result is
+    bit-identical to the dense stage loop.  The steps are views bound to
+    the plan's slot array and _BLOCK_BUFFERS; the last stage writes into
+    the caller's array.
     """
-    low_bits = min(bits, _FWHT_LOW_BITS)
+
+    __slots__ = ("positions", "slots", "steps", "last")
+
+    def __init__(self, bits: int, radius: int):
+        # the high parts of each class, built from the top level down
+        members = [np.zeros(0, np.intp)] * radius + [np.zeros(1, np.intp)]
+        counts = [[m.size for m in members]]
+        for _ in range(bits):
+            members = [np.concatenate((2 * members[r], 2 * members[r + 1] + 1))
+                       if r < radius else 2 * members[r] for r in range(radius + 1)]
+            counts.append([m.size for m in members])
+        counts.reverse()
+        self.positions = np.concatenate(members)  # state index of each slot
+        self.positions.flags.writeable = False
+        self.slots = np.empty(self.positions.size)
+        ends = np.cumsum(counts[0]).tolist()
+        classes = [self.slots[e - c : e].reshape(c, 1) for c, e in zip(counts[0], ends)]
+        self.steps = []
+        for lv in range(bits - 1):
+            h, pos = 1 << lv, 0
+            rows = [classes[0][: counts[lv + 1][0]]]
+            for r in range(1, radius + 1):
+                c = counts[lv + 1][r]
+                a, b = classes[r][:c], classes[r - 1][len(classes[r - 1]) - c :]
+                out = _BLOCK_BUFFERS[lv & 1][pos : pos + 2 * c * h].reshape(c, 2, h)
+                pos += 2 * c * h
+                if c:
+                    self.steps.append((a, b, out[:, 0], out[:, 1]))
+                rows.append(out.reshape(c, 2 * h))
+            classes = rows
+        # the last stage makes the one row of class radius
+        self.last = (classes[radius][:1].ravel(), classes[radius - 1][-1:].ravel()) if radius else None
+
+    def run(self, slots: np.ndarray, out: np.ndarray) -> None:
+        """Transform the block scattered at ``slots`` into ``out``."""
+        np.copyto(self.slots, slots)
+        for a, b, lo, hi in self.steps:
+            np.add(a, b, out=lo)
+            np.subtract(a, b, out=hi)
+        if self.last is None:  # radius 0: one entry at index 0
+            out.fill(self.slots[0])
+            return
+        a, b = self.last
+        np.add(a, b, out=out[: a.size])
+        np.subtract(a, b, out=out[a.size :])
+
+
+@lru_cache(maxsize=32)
+def _ball_plan(bits: int, radius: int) -> _BallPlan:
+    return _BallPlan(bits, radius)
+
+
+@lru_cache(maxsize=4)
+def _chunk_plans(bits: int, radius: int) -> tuple:
+    """The plan and first slot of each 2^16 block of a 2^bits chunk.
+
+    Block b can be nonzero only at indices of popcount <= radius -
+    popcount(b); a block with no such index gets no plan and is all +0.0.
+    Returns the list of (plan or None, first slot) and the slot count.
+    """
     block_bits = min(bits, _FWHT_BLOCK_BITS)
-    cols = np.bitwise_count(np.arange(1 << (block_bits - low_bits)))
-    blocks = np.bitwise_count(np.arange(1 << (bits - block_bits)))
-    is_live = cols[None, :] + blocks[:, None] <= p
-    counts = is_live.sum(axis=1)
-    starts = np.cumsum(counts << low_bits) - (counts << low_bits)
-    # compact position of row 0 of each (block, column), and the row stride
-    base = (starts[:, None] + np.cumsum(is_live, axis=1) - 1).ravel()
-    stride = np.repeat(counts, cols.size)
+    plans, start = [], 0
+    for b in range(1 << (bits - block_bits)):
+        r = radius - b.bit_count()
+        plan = _ball_plan(block_bits, min(r, block_bits)) if r >= 0 else None
+        plans.append((plan, start))
+        start += plan.positions.size if plan else 0
+    return tuple(plans), start
+
+
+@lru_cache(maxsize=2)
+def _scatter_index(N: int, p: int, bits: int) -> np.ndarray:
+    """The slot of :func:`_chunk_plans` (bits, p) of each coupling mask, read-only."""
+    plans, _ = _chunk_plans(bits, p)
+    block_bits = min(bits, _FWHT_BLOCK_BITS)
+    radii = [min(p - b.bit_count(), block_bits) for b in range(len(plans))]
+    rows = sorted({r for r in radii if r >= 0})
+    # slot[row, i]: the level-0 slot of state i in the plan of radius rows[row]
+    slot = np.zeros((len(rows), 1 << block_bits), dtype=np.intp)
+    for row, r in enumerate(rows):
+        positions = _ball_plan(block_bits, r).positions
+        slot[row, positions] = np.arange(positions.size)
+    base = np.array([rows.index(r) << block_bits if r >= 0 else 0 for r in radii], dtype=np.intp)
+    starts = np.array([start for _, start in plans], dtype=np.intp)
     low = (mask_table(N, p) & np.uint64((1 << bits) - 1)).astype(np.intp)
-    upper = low >> low_bits
-    index = base[upper] + (low & ((1 << low_bits) - 1)) * stride[upper]
+    block = low >> block_bits
+    low &= (1 << block_bits) - 1
+    low += base[block]
+    index = np.take(slot, low)
+    index += starts[block]
     index.flags.writeable = False
-    return index, [np.flatnonzero(row) for row in is_live]
+    return index
 
 
-def _transform(a: np.ndarray, live: list, t: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform, natural ordering, in place from compact form.
+def _transform(slots: np.ndarray, plans: list, out: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform, natural ordering, of a scattered chunk into ``out``.
 
-    ``a`` begins with the live columns of :func:`_compact_layout` and ends
-    as the transform of the table whose other columns are +0.0; ``t`` is
-    scratch of one block.  Every entry sees the butterflies of the radix-2
-    stages h = 1, 2, 4, ... in that order, so the result is bit-identical to
-    the plain stage loop.  Blocks run last to first, so no block's rows
-    cover a compact array still to be read: each runs its low stages on its
-    live columns, writes them into its rows with the dead rows +0.0 and runs
-    its remaining stages.  The wide stages then run over column slices.
+    Each block runs its :class:`_BallPlan` on its slots; the wide stages of
+    a chunk of several blocks then run over column slices.
     """
-    n, block = a.size, t.size
-    low = min(n, 1 << _FWHT_LOW_BITS)
-    end = low * sum(cols.size for cols in live)
-    for b, cols in zip(a.reshape(-1, block)[::-1], live[::-1]):
-        if not cols.size:
-            b.fill(0.0)
-            continue
-        end -= low * cols.size
-        x = a[end : end + low * cols.size].reshape(low, -1)
-        tx = t[: x.size].reshape(x.shape)
-        _wht_axis0(x, tx)
-        np.copyto(tx, x)  # the block's rows may cover x
-        rows = b.reshape(-1, low)
-        if cols.size < rows.shape[0]:
-            rows.fill(0.0)
-        rows[cols] = tx.T
-        _wht_axis0(rows, t.reshape(rows.shape))
-    if n > block:
-        rows = n // block
-        width = block // rows
-        wide = a.reshape(rows, block)
-        for col in range(0, block, width):
-            _wht_axis0(wide[:, col : col + width], t.reshape(rows, width))
-    return a
+    block = 1 << _FWHT_BLOCK_BITS
+    with _BLOCK_LOCK:
+        for dest, (plan, start) in zip(out.reshape(len(plans), -1), plans):
+            if plan:
+                plan.run(slots[start : start + plan.positions.size], dest)
+            else:
+                dest.fill(0.0)
+        if out.size > block:
+            rows = len(plans)
+            width = block // rows
+            wide = out.reshape(rows, block)
+            t = _BLOCK_BUFFERS[0].reshape(rows, width)
+            for col in range(0, block, width):
+                _wht_axis0(wide[:, col : col + width], t)
+    return out
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:
-    """In-place Walsh-Hadamard transform of a dense table: every column live."""
-    low = min(a.size, 1 << _FWHT_LOW_BITS)
-    block = min(a.size, 1 << _FWHT_BLOCK_BITS)
-    a[...] = a.reshape(-1, block // low, low).transpose(0, 2, 1).ravel()
-    return _transform(a, [np.arange(block // low)] * (a.size // block), np.empty(block))
+    """In-place Walsh-Hadamard transform of a dense table: every entry live."""
+    bits = a.size.bit_length() - 1
+    plans, _ = _chunk_plans(bits, bits)
+    blocks = a.reshape(len(plans), -1)
+    slots = np.concatenate([blk[plan.positions] for blk, (plan, _) in zip(blocks, plans)])
+    return _transform(slots, plans, a)
 
 
 def field_table(disorder: Disorder, half: bool = False) -> np.ndarray:
@@ -268,13 +342,15 @@ def field_chunks(disorder: Disorder, half: bool = False, chunk_bits: int | None 
     """Yield the field table in contiguous state-order chunks.
 
     The high state bits are fixed per chunk and fold into the coupling
-    signs, so only the low-bit subcube is scattered and transformed, into
-    the live columns of :func:`_compact_layout` at the start of the chunk.
-    By default a chunk is the cache-sized FWHT block, widened (up to the
-    in-memory table size, the largest chunk allowed) to at least 8 entries
-    per coupling so that the O(binom(N,p)) scatter of each chunk stays small
-    next to its transform.  Each chunk is a fresh array; the transform
-    scratch is allocated once per call.
+    signs, so only the low-bit subcube is transformed.  Its couplings are
+    scattered by ``np.bincount`` into the level-0 slots of each 2^16
+    block's :class:`_BallPlan` (697 at p = 3, not 2^16), and each block is
+    transformed over the entries its couplings can reach.  By default a
+    chunk is the cache-sized FWHT block, widened (up to the in-memory table
+    size, the largest chunk allowed) to at least 8 entries per coupling so
+    that the O(binom(N,p)) scatter of each chunk stays small next to its
+    transform.  Each chunk is a fresh array; the transform buffers are
+    shared by the plans.
     """
     params = disorder.params
     check_enumeration_budget(params)
@@ -285,13 +361,13 @@ def field_chunks(disorder: Disorder, half: bool = False, chunk_bits: int | None 
     chunk_bits = min(chunk_bits, n_bits)
     if chunk_bits > _DIRECT_TABLE_BITS:
         raise ResourceLimitError(f"a 2^{chunk_bits}-state table exceeds the in-memory limit")
-    index, live = _compact_layout(params.N, params.p, chunk_bits)
+    plans, n_slots = _chunk_plans(chunk_bits, params.p)
+    index = _scatter_index(params.N, params.p, chunk_bits)
     high = mask_table(params.N, params.p) >> np.uint64(chunk_bits)
-    scratch = np.empty(1 << min(chunk_bits, _FWHT_BLOCK_BITS))
     for high_state in range(1 << (n_bits - chunk_bits)):
         values = disorder.couplings * _signs(high, high_state) if high_state else disorder.couplings
-        table = np.bincount(index, weights=values, minlength=1 << chunk_bits)
-        _transform(table, live, scratch)
+        slots = np.bincount(index, weights=values, minlength=n_slots)
+        table = _transform(slots, plans, np.empty(1 << chunk_bits))
         table /= math.sqrt(params.n_couplings)
         yield table
 

@@ -317,7 +317,8 @@ def first_moment_mc(
         parity = (np.bitwise_count(masks[None, :] & states[:, None]) & np.uint64(1)).astype(
             np.float64
         )
-        x_vals = (1.0 - 2.0 * parity) @ disorder.couplings * root
+        # einsum, not a BLAS gemv: its sums split by thread count
+        x_vals = np.einsum("si,i->s", 1.0 - 2.0 * parity, disorder.couplings) * root
         out[r] = float(np.cosh(scale * x_vals).mean()) * math.exp(-N * j_term(disorder, beta))
     return out
 

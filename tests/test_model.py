@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,7 @@ from pspinlab import (
 )
 
 from pspinlab import model
-from pspinlab.model import _fwht, partition_and_power_sums
+from pspinlab.model import _ball_plan, _fwht, partition_and_power_sums
 
 from _oracles import dense_field_chunks, fwht_radix2, naive_field_table, naive_log_partition
 
@@ -131,25 +132,75 @@ def test_fwht_bit_identical_to_radix2_stages():
 
 
 def test_field_chunks_bit_identical_to_dense_oracle():
-    # the low FWHT stages skip only columns that hold +0.0, so every chunk
-    # keeps the dense scatter's bits: all columns live at (12, 4); partly
-    # live in the 2^16 chunks of (20, 3) and (18, 4) and the 2^19-20 single
-    # tables of (20, 8); 2^17 and 2^18 chunks with live columns per 2^16
-    # block at (20, 5) and (19, 6); explicit chunks below one transposed
-    # row (2, 4), of one row (8) and of four blocks (18); and at (20, 2)
-    # in 2^19 chunks, a block whose index has more bits set than p
+    # the Hamming-ball transform skips only entries that hold +0.0, so
+    # every chunk keeps the dense scatter's bits: the whole 2^12 table at
+    # (12, 4); 2^16 chunks of (20, 3) and (18, 4) and the 2^19-20 single
+    # tables of (20, 8); 2^17 and 2^18 chunks of several 2^16 blocks, each
+    # with its own radius, at (20, 5) and (19, 6); explicit chunks of 2^2,
+    # 2^4, 2^8 and four blocks (18); and at (20, 2) in 2^19 chunks, a block
+    # whose index has more bits set than p.  Then one fold each: the full
+    # 2^16 table of (16, 3), the half (20, 4), the nearly dense (10, 8) and
+    # the 32 chunks of the half (22, 3)
     cases = [(12, 4, None), (20, 8, None), (20, 3, None), (18, 4, None),
              (20, 5, None), (19, 6, None), (12, 3, 2), (12, 3, 4), (14, 4, 8),
              (20, 3, 18), (20, 2, 19)]
-    for N, p, chunk_bits in cases:
+    runs = [(N, p, chunk_bits, half) for N, p, chunk_bits in cases for half in (True, False)]
+    runs += [(16, 3, None, False), (20, 4, None, True), (10, 8, None, False), (22, 3, None, True)]
+    for N, p, chunk_bits, half in runs:
         d = sample_disorder(ModelParams(N=N, p=p), 60 + N + p)
-        for half in (True, False):
-            got = list(field_chunks(d, half=half, chunk_bits=chunk_bits))
-            bits = got[0].size.bit_length() - 1
-            expected = list(dense_field_chunks(d, half, bits))
-            assert len(got) == len(expected), (N, p, half)
-            for chunk, dense in zip(got, expected):
-                assert chunk.tobytes() == dense.tobytes(), (N, p, chunk_bits, half)
+        got = list(field_chunks(d, half=half, chunk_bits=chunk_bits))
+        bits = got[0].size.bit_length() - 1
+        expected = list(dense_field_chunks(d, half, bits))
+        assert len(got) == len(expected), (N, p, half)
+        for chunk, dense in zip(got, expected):
+            assert chunk.tobytes() == dense.tobytes(), (N, p, chunk_bits, half)
+
+
+def test_ball_plan_level0_is_the_hamming_ball():
+    # level 0 holds one slot per index of popcount <= radius; a scattered
+    # block run through the plan equals the radix-2 stage loop bit for bit
+    rng = np.random.default_rng(4)
+    weight = np.bitwise_count(np.arange(1 << 16))
+    for radius in range(17):
+        plan = _ball_plan(16, radius)
+        assert plan.positions.size == sum(math.comb(16, j) for j in range(radius + 1))
+        assert np.array_equal(np.sort(plan.positions), np.flatnonzero(weight <= radius))
+    for bits in (1, 2, 5, 9):
+        weight = np.bitwise_count(np.arange(1 << bits))
+        for radius in range(bits + 1):
+            plan = _ball_plan(bits, radius)
+            x = np.where(weight <= radius, rng.standard_normal(1 << bits), 0.0)
+            got = np.empty(1 << bits)
+            plan.run(x[plan.positions], got)
+            assert got.tobytes() == fwht_radix2(x).tobytes(), (bits, radius)
+
+
+def test_field_chunks_from_threads_match_serial():
+    # every ball plan runs in the same block buffers, under one lock:
+    # threads switching every microsecond must still get the serial bits
+    shapes = [(17, 3), (16, 4), (18, 3), (12, 4)]
+    disorders = [sample_disorder(ModelParams(N=N, p=p), 70 + k) for k, (N, p) in enumerate(shapes)]
+    expected = [np.concatenate(list(field_chunks(d, half=True))) for d in disorders]
+    same = [None] * len(disorders)
+
+    def work(k):
+        same[k] = all(
+            np.concatenate(list(field_chunks(disorders[k], half=True))).tobytes() == expected[k].tobytes()
+            for _ in range(4)
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(disorders))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert same == [True] * len(disorders)
 
 
 def test_half_table_fold_identity():

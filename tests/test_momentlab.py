@@ -151,6 +151,17 @@ def test_h4_direct_independent_of_blas_threads():
     assert outputs[0] == outputs[1]
 
 
+def test_first_moment_mc_independent_of_blas_threads():
+    # 256 sampled states against binom(30, 4) = 27405 couplings: a BLAS
+    # gemv that size may split its sums by thread count
+    code = (
+        "from pspinlab import first_moment_mc\n"
+        "print(repr(first_moment_mc(30, 4, 0.5, replicas=2, base_seed=7, sigma_samples=256).tolist()))\n"
+    )
+    outputs = outputs_under_blas_threads(code)
+    assert outputs[0] == outputs[1]
+
+
 def test_m3_vanishes_for_odd_p():
     for p in (3, 5):
         for seed in range(10):
