@@ -350,6 +350,15 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _check_output_path(path: str) -> None:
+    """Refuse an output path that cannot be written, before any work is done."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise OSError(f"cannot write {path!r}: it is a directory")
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise OSError(f"cannot write {path!r}: {directory!r} is not a writable directory")
+
+
 def _constants_payload(params: ModelParams) -> dict:
     beta = params.beta
     p = params.p
@@ -464,6 +473,8 @@ def run_experiment(
     threads = _resolve_threads(threads)
     params = config.params
     mode = _MODE_TABLE[config.mode]
+    if config.output_path:
+        _check_output_path(config.output_path)
     rows, summary, identities, constants, supercritical = [], None, None, None, False
     if config.mode == "constants":
         constants = _constants_payload(params)

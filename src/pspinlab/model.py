@@ -11,18 +11,20 @@ enumeration engines coexist:
   Since sigma_A(s) = (-1)^{popcount(mask_A & s)}, the table of coupling
   sums over all states is the Walsh-Hadamard transform of the coupling
   vector scattered at the subset bitmasks, costing O(N 2^N) instead of
-  O(2^N binom).  Each chunk fixes the high state bits, which fold into the
-  coupling signs, and transforms the cache-sized subcube over the low bits.
+  O(2^N binom).  Each chunk (2^19 states by default) fixes the high state
+  bits, which fold into the coupling signs, and transforms the subcube
+  over the low bits in 2^16-state blocks, joined by the wide stages.
   Before stage k only the entries whose bits >= k have popcount <= p can
-  be nonzero, so the transform runs on that Hamming ball alone, grouped
-  by radius so that no stage gathers (:class:`_BallPlan`); the skipped
-  entries hold +0.0 and the result keeps the dense transform's bits.
+  be nonzero, so each block's transform runs on that Hamming ball alone,
+  of radius p - popcount(block), grouped by radius so that no stage
+  gathers (:class:`_BallPlan`); the skipped entries hold +0.0 and each
+  chunk keeps the dense transform's bits.
   It is the one table builder: :func:`field_table` is its one-chunk case.
 
 :func:`partition_and_power_sums` is the one pass over the field table: it
 yields ln Z_N together with the sums of X^2, X^3, X^4 the quenched moments
-need, reducing each chunk of one table while it is in cache.  By default
-it folds on the global-flip symmetry X(~s) = (-1)^p X(s): only the
+need, reducing each chunk in 2^16-state slices that stay in cache.  By
+default it folds on the global-flip symmetry X(~s) = (-1)^p X(s): only the
 half-space with the top spin up is transformed, and the mirrored half
 enters as exp(-y) (p odd) or a factor 2 (p even).  Unfolded, it sums the
 full 2^N table, so for odd p the vanishing of the X^3 sum is a genuine
@@ -66,9 +68,9 @@ ENUMERATION_BUDGET = 30
 _DIRECT_TABLE_BITS = 24
 
 # Peak bytes per coupling of one enumeration pass besides its tables
-# (tracemalloc over two 2^16 chunks, binom = 1.7e5..2.2e6): 35-40 B for the
-# scatter index, the coupling signs and the scatter weights, 46-48 B with
-# the mask table built inside.
+# (tracemalloc over the first two default chunks, 2^21-2^24 states, binom =
+# 1.4e5..2.5e6): 26-31 B for the scatter index, the coupling signs and the
+# scatter weights, 34-39 B with the mask table built inside.
 _PASS_COUPLING_BYTES = 96
 _PASS_BYTE_BUDGET = 2 * 2**30
 
@@ -77,6 +79,12 @@ _PASS_BYTE_BUDGET = 2 * 2**30
 _FWHT_BLOCK_BITS = 16
 _BLOCK_BUFFERS = (np.empty(1 << _FWHT_BLOCK_BITS), np.empty(1 << _FWHT_BLOCK_BITS))
 _BLOCK_LOCK = threading.Lock()
+
+# Default chunk: 2^19 states (4 MiB).  Block b of it runs the ball plan of
+# radius p - popcount(b), where a 2^16 chunk, its high bits folded into the
+# coupling signs, runs the radius-p plan; the wide stages that join the
+# blocks cost less than the smaller plans save.
+_CHUNK_BITS = 19
 
 # A configuration is a plain int bitmask; bit i set <=> sigma_{i+1} = -1.
 SpinConfiguration = int
@@ -345,19 +353,21 @@ def field_chunks(disorder: Disorder, half: bool = False, chunk_bits: int | None 
     signs, so only the low-bit subcube is transformed.  Its couplings are
     scattered by ``np.bincount`` into the level-0 slots of each 2^16
     block's :class:`_BallPlan` (697 at p = 3, not 2^16), and each block is
-    transformed over the entries its couplings can reach.  By default a
-    chunk is the cache-sized FWHT block, widened (up to the in-memory table
-    size, the largest chunk allowed) to at least 8 entries per coupling so
-    that the O(binom(N,p)) scatter of each chunk stays small next to its
-    transform.  Each chunk is a fresh array; the transform buffers are
-    shared by the plans.
+    transformed over the entries its couplings can reach: block b of a
+    chunk runs the plan of radius p - popcount(b), and the wide stages
+    join the blocks.  By default a chunk has 2^19 states, or the whole
+    table if smaller, widened (up to the in-memory table size, the largest
+    chunk allowed) to at least 8 entries per coupling so that the
+    O(binom(N,p)) scatter of each chunk stays small next to its transform.
+    Each chunk is a fresh array; the transform buffers are shared by the
+    plans.
     """
     params = disorder.params
     check_enumeration_budget(params)
     n_bits = params.N - 1 if half else params.N
     if chunk_bits is None:
         wide = (8 * params.n_couplings - 1).bit_length()
-        chunk_bits = min(max(_FWHT_BLOCK_BITS, wide), _DIRECT_TABLE_BITS)
+        chunk_bits = min(max(_CHUNK_BITS, wide), _DIRECT_TABLE_BITS)
     chunk_bits = min(chunk_bits, n_bits)
     if chunk_bits > _DIRECT_TABLE_BITS:
         raise ResourceLimitError(f"a 2^{chunk_bits}-state table exceeds the in-memory limit")
@@ -375,8 +385,9 @@ def field_chunks(disorder: Disorder, half: bool = False, chunk_bits: int | None 
 def partition_and_power_sums(disorder: Disorder, beta: float, half: bool = True) -> tuple:
     """ln Z_N(beta) and the sums of X^2, X^3, X^4 over all 2^N states.
 
-    One pass over the field table.  ln Z_N = ln E_sigma e^{beta sqrt(N) X}
-    is accumulated in log domain with a running maximum, safe for
+    One pass over the field table, each chunk reduced in 2^16-state slices
+    while they are in cache.  ln Z_N = ln E_sigma e^{beta sqrt(N) X} is
+    accumulated in log domain with a running maximum, safe for
     beta sqrt(N) max|X| up to the exp overflow threshold.  With ``half``
     only the half table is transformed: the mirrored half
     X(~s) = (-1)^p X(s) doubles the even powers, and the odd power doubles
@@ -392,24 +403,28 @@ def partition_and_power_sums(disorder: Disorder, beta: float, half: bool = True)
     mirror_odd = half and params.p % 2 == 1
     running_max = -math.inf
     acc = s2 = s3 = s4 = 0.0
-    buf = None  # allocated by the first chunk, reused by the rest
-    for chunk in field_chunks(disorder, half=half):
-        buf = np.multiply(chunk, chunk, out=buf)
-        s2 += float(buf.sum())
-        # einsum, not np.dot: a BLAS dot splits its sum by thread count
-        if not mirror_odd:
-            s3 += float(np.einsum("i,i->", buf, chunk))
-        s4 += float(np.einsum("i,i->", buf, buf))
-        y = np.multiply(chunk, scale, out=chunk)
-        for part in range(2 if mirror_odd else 1):
-            if part:
-                np.negative(y, out=y)
-            m = float(y.max())
-            if m > running_max:
-                acc *= math.exp(running_max - m)
-                running_max = m
-            np.subtract(y, m, out=buf)
-            acc += float(np.exp(buf, out=buf).sum()) * math.exp(m - running_max)
+    buf = None  # allocated by the first slice, reused by the rest
+    for table in field_chunks(disorder, half=half):
+        # in cache-sized slices: a 4 MiB table reduced in one piece misses
+        for x in table.reshape(-1, min(table.size, 1 << _FWHT_BLOCK_BITS)):
+            buf = np.multiply(x, x, out=buf)
+            s2 += float(buf.sum())
+            # einsum, not np.dot: a BLAS dot splits its sum by thread count
+            if not mirror_odd:
+                s3 += float(np.einsum("i,i->", buf, x))
+            s4 += float(np.einsum("i,i->", buf, buf))
+            y = np.multiply(x, scale, out=x)
+            for part in range(2 if mirror_odd else 1):
+                # the mirrored half is -y; (-m) - y rounds as (-y) - m, so no negated copy
+                m = -float(y.min()) if part else float(y.max())
+                if m > running_max:
+                    acc *= math.exp(running_max - m)
+                    running_max = m
+                if part:
+                    np.subtract(-m, y, out=buf)
+                else:
+                    np.subtract(y, m, out=buf)
+                acc += float(np.exp(buf, out=buf).sum()) * math.exp(m - running_max)
     fold = 2.0 if half else 1.0
     if not mirror_odd:
         acc *= fold

@@ -223,6 +223,29 @@ def test_unwritable_out_exit_1(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_unwritable_out_refused_before_any_replica(capsys, tmp_path, monkeypatch):
+    # a missing directory or a directory as --out is refused up front with
+    # the user's path, in every mode that writes one, not after the run
+    def no_work(*args):
+        raise AssertionError("work ran before the output path check")
+
+    monkeypatch.setattr(harness, "sample_disorder", no_work)
+    monkeypatch.setattr(harness, "tabulate_text", no_work)
+    missing = str(tmp_path / "missing" / "x")
+    for argv in (
+        ["run", "--mode", "identities", "--n", "14", "--p", "4", "--beta", "0.3",
+         "--replicas", "30"],
+        ["run", "--mode", "theorem1", "--n", "12", "--p", "3", "--beta", "0.3",
+         "--replicas", "4", "--format", "json"],
+        ["tabulate-covariance", "--n", "8", "--p", "3"],
+    ):
+        for out in (missing, str(tmp_path)):
+            code, stdout, err = run_cli(capsys, *argv, "--out", out)
+            assert code == 1 and stdout == ""
+            assert err.startswith(f"error: cannot write {out!r}:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_report_to_directory_leaves_no_temp_file(capsys, tmp_path):
     target = tmp_path / "reports"
     target.mkdir()

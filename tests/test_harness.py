@@ -483,3 +483,14 @@ def test_unwritable_output_path(tmp_path):
     )
     with pytest.raises(OSError):
         run_experiment(cfg)
+
+
+def test_write_atomic_removes_its_temp_file(tmp_path, monkeypatch):
+    # a failed rename leaves neither the target nor the per-process temp file
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(harness.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        harness._write_atomic(str(tmp_path / "r.json"), "{}\n")
+    assert list(tmp_path.iterdir()) == []

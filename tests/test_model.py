@@ -243,11 +243,33 @@ def test_multi_chunk_pass_matches_single_table(monkeypatch):
                 assert s3 == pytest.approx(single[half][2], rel=1e-12)
 
 
+def test_mirrored_half_is_sign_symmetric():
+    # at odd p the folded pass reads the mirrored half -y as (-m) - y with
+    # m = -min(y).  Negating every coupling swaps the two halves, so ln Z
+    # must not move.  (20, 5) is one table of eight 2^16 slices: the running
+    # maximum merges across slices and across the two halves
+    beta = 0.8
+    for N, p in ((11, 3), (20, 5)):
+        d = sample_disorder(ModelParams(N=N, p=p), 80 + N)
+        flipped = Disorder(params=d.params, seed=d.seed, couplings=-d.couplings)
+        assert log_partition(flipped, beta) == pytest.approx(log_partition(d, beta), rel=1e-13)
+    d = sample_disorder(ModelParams(N=12, p=3), 81)
+    log_z, s2, s3, s4 = partition_and_power_sums(d, beta, half=True)
+    full = partition_and_power_sums(d, beta, half=False)
+    assert log_z == pytest.approx(full[0], rel=1e-12)
+    assert s2 == pytest.approx(full[1], rel=1e-12)
+    assert s4 == pytest.approx(full[3], rel=1e-12)
+    assert s3 == 0.0
+
+
 def test_default_chunks_are_cache_sized():
-    # 2^16-state chunks, unless one would hold under 8 entries per coupling
+    # 2^19-state chunks, or the whole table if smaller, unless one would
+    # hold under 8 entries per coupling
     d = sample_disorder(ModelParams(N=18, p=3), 1)
-    assert [c.size for c in field_chunks(d, half=True)] == [1 << 16] * 2
-    assert [c.size for c in field_chunks(d)] == [1 << 16] * 4
+    assert [c.size for c in field_chunks(d, half=True)] == [1 << 17]
+    assert [c.size for c in field_chunks(d)] == [1 << 18]
+    d = sample_disorder(ModelParams(N=20, p=3), 1)
+    assert [c.size for c in field_chunks(d)] == [1 << 19] * 2
     d = sample_disorder(ModelParams(N=18, p=9), 1)
     assert [c.size for c in field_chunks(d, half=True)] == [1 << 17]
 
@@ -277,7 +299,7 @@ def test_chunked_field_spot_check_n24():
     states = np.sort(np.random.default_rng(5).choice(1 << 23, size=300, replace=False))
     got, start = [], 0
     for chunk in field_chunks(d, half=True):
-        assert chunk.size == 1 << 16
+        assert chunk.size == 1 << 19
         inside = states[(states >= start) & (states < start + chunk.size)]
         got.extend(chunk[inside - start])
         start += chunk.size
@@ -286,20 +308,31 @@ def test_chunked_field_spot_check_n24():
     assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
 
 
-def test_chunked_field_spot_check_n26():
-    # two random states in each of the 512 default chunks of the 2^25-state
+def spot_check_half_table(N, seed, rng_seed, per_chunk):
+    # per_chunk random states in each 2^19-state default chunk of the (N, 3)
     # half table against the direct coupling sum
-    d = sample_disorder(ModelParams(N=26, p=3), 13)
-    rng = np.random.default_rng(6)
+    d = sample_disorder(ModelParams(N=N, p=3), seed)
+    rng = np.random.default_rng(rng_seed)
     got, expected, start = [], [], 0
     for chunk in field_chunks(d, half=True):
-        assert chunk.size == 1 << 16
-        for i in rng.choice(chunk.size, size=2, replace=False):
+        assert chunk.size == 1 << 19
+        for i in rng.choice(chunk.size, size=per_chunk, replace=False):
             got.append(chunk[i])
             expected.append(gaussian_field(start + int(i), d))
         start += chunk.size
-    assert start == 1 << 25
+    assert start == 1 << (N - 1)
+    assert len(got) == per_chunk << (N - 20)
     assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
+
+
+def test_chunked_field_spot_check_n26():
+    # 16 states in each of the 64 chunks: 1,024 states
+    spot_check_half_table(26, 13, 6, per_chunk=16)
+
+
+def test_chunked_field_spot_check_n30():
+    # at the enumeration budget's edge: 2 states in each of the 1,024 chunks
+    spot_check_half_table(30, 14, 7, per_chunk=2)
 
 
 def test_chunked_pass_matches_logsumexp_n22():
