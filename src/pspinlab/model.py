@@ -380,6 +380,7 @@ def field_chunks(disorder: Disorder, half: bool = False, chunk_bits: int | None 
         table = _transform(slots, plans, np.empty(1 << chunk_bits))
         table /= math.sqrt(params.n_couplings)
         yield table
+        del table  # one table alive at a time: the caller drops its own as well
 
 
 def partition_and_power_sums(disorder: Disorder, beta: float, half: bool = True) -> tuple:
@@ -425,6 +426,7 @@ def partition_and_power_sums(disorder: Disorder, beta: float, half: bool = True)
                 else:
                     np.subtract(y, m, out=buf)
                 acc += float(np.exp(buf, out=buf).sum()) * math.exp(m - running_max)
+        del table, x, y  # before field_chunks builds the next chunk
     fold = 2.0 if half else 1.0
     if not mirror_odd:
         acc *= fold

@@ -24,9 +24,9 @@ agreement tests.  Pair-overlap moments are computed in exact integer
 arithmetic along two independent routes so equality is bit-exact.
 
 Both sums share one table over the ordered coupling pairs,
-T(v) = sum_{A xor B = v} J_A J_B.  Its index work depends only on (N, p):
-it is built once per (N, p), under a byte budget, into a cached pair plan
-that every disorder replica reuses.
+T(v) = sum_{A xor B = v} J_A J_B, indexed by v itself.  Its index work,
+the differences v, depends only on (N, p): it is built once per (N, p),
+under a byte budget, into a cached pair plan that every replica reuses.
 """
 
 from __future__ import annotations
@@ -70,13 +70,13 @@ __all__ = [
     "pair_moment_paths",
 ]
 
-# Building the pair plan peaks at 49.0-49.3 B per coupling pair (tracemalloc,
-# n = 495..3060, p = 3..6: n^2 uint64 differences, np.unique's sort and
-# inverse); it keeps 4.0-4.3 B, and a call adds 8 B per bin and one row block.
-# The harness builds the plan before its pool forks, so workers share it.
-_PLAN_BYTES_PER_PAIR = 64
+# Building the pair plan peaks at 4.05-4.22 B per coupling pair, what it keeps
+# (tracemalloc, n = 462..3060, p = 3..6: the upper-triangle differences as intp);
+# a call adds 8 B per table entry, 2^N of them, and one row block.  The harness
+# builds the plan before its pool forks, so workers share it.
+_PLAN_BYTES_PER_PAIR = 8
 _PLAN_BYTE_BUDGET = 2 * 2**30
-_PAIR_BLOCK_ENTRIES = 2**14   # pair-table row block = this // n rows: a 128 KiB scratch
+_PAIR_BLOCK_ENTRIES = 2**13   # pair-table row block = this // n rows: a 64 KiB scratch
 _QUAD_BUDGET = 2 * 10**6      # binom^3 cap for the literal quadruple loop
 BRUTE_PAIR_N = 14             # brute-force pair-moment budget
 _SIGMA_TAG = 0x5349474D41     # auxiliary stream id for configuration draws
@@ -163,59 +163,58 @@ def pair_sums(disorder: Disorder) -> tuple:
     T(v)^2 counts the quadruples with A xor B = C xor D = v; at v != 0 the
     non-distinct ones, (C, D) = (A, B) or (B, A), each sum to j2^2 - j4
     (j_k = sum J_A^k): h4 = a_N^4/24 (sum_{v != 0} T(v)^2 - 2 (j2^2 - j4)).
-    Only pairs of rank A < B are binned, T = 2 T_half exactly, in the plan's
-    row blocks; np.add.at adds in index order, so a bin sums row-major.
+    T has 2^N entries indexed by v.  Only pairs of rank A < B are added, in
+    the plan's row blocks, and T = 2 T_half exactly; np.add.at adds in index
+    order, so an entry sums row-major.  The T(v)^2 sum takes nonzero v only.
     """
     params = disorder.params
-    blocks, n_bins, ranks, bins = pair_plan(params.N, params.p)
+    blocks, masks = pair_plan(params.N, params.p)
     couplings = disorder.couplings
-    table = np.zeros(n_bins)
+    table = np.zeros(1 << params.N)
     scratch = np.empty(blocks[0][1].size)
-    for start, block_bins in blocks:
-        rows = scratch[: block_bins.size].reshape(-1, couplings.size - start)
+    for start, block_v in blocks:
+        rows = scratch[: block_v.size].reshape(-1, couplings.size - start)
         # einsum, not a broadcast multiply, which takes two 64 KiB ufunc buffers
         np.einsum("i,j->ij", couplings[start : start + len(rows)], couplings[start:], out=rows)
-        np.add.at(table, block_bins, rows.ravel())
+        np.add.at(table, block_v, rows.ravel())
+    del scratch, rows  # before the nonzero gather below
     table *= 2.0
     # einsum, not np.dot: a long BLAS dot splits its sum by thread count
-    h3 = float(np.einsum("i,i->", couplings[ranks], table[bins]))
+    h3 = float(np.einsum("i,i->", couplings, table[masks]))
     j2 = float(np.einsum("i,i->", couplings, couplings))
     j4 = float(np.sum(couplings**4))
-    quad_sum = float(np.einsum("i,i->", table[1:], table[1:])) - 2.0 * (j2 * j2 - j4)
+    t = table[1:][table[1:] != 0.0]
+    quad_sum = float(np.einsum("i,i->", t, t)) - 2.0 * (j2 * j2 - j4)
     return params.a_n**3 * h3, params.a_n**4 / 24.0 * quad_sum
 
 
 def check_pair_budget(N: int, p: int) -> None:
-    """Refuse an (N, p) whose pair plan would not fit the byte budget."""
+    """Refuse an (N, p) whose pair plan and 2^N-entry table would not fit the byte budget."""
     pairs = math.comb(N, p) ** 2
-    if pairs * _PLAN_BYTES_PER_PAIR > _PLAN_BYTE_BUDGET:
+    if pairs * _PLAN_BYTES_PER_PAIR + 8 * 2**N > _PLAN_BYTE_BUDGET:
         raise ResourceLimitError(
-            f"pair plan over binom^2 = {pairs} pairs exceeds the "
-            f"{_PLAN_BYTE_BUDGET >> 30} GiB budget at {_PLAN_BYTES_PER_PAIR} B/pair"
+            f"pair plan over binom^2 = {pairs} pairs at {_PLAN_BYTES_PER_PAIR} B/pair "
+            f"and its 2^{N}-entry table exceed the {_PLAN_BYTE_BUDGET >> 30} GiB budget"
         )
 
 
 @lru_cache(maxsize=1)
 def pair_plan(N: int, p: int) -> tuple:
-    """(row blocks, bin count, coupling ranks, their bins), read-only, for every disorder.
+    """(row blocks, masks), read-only, for every disorder.
 
-    Bins number the distinct A xor B in increasing order, so bin 0 is v = 0.
-    A row block (start, bins) holds the bins of its rows' pairs with the
-    columns from start on, row-major, the diagonal and below in bin 0.  The
-    ranks and bins are those of the couplings that occur as a difference.
+    The masks are the coupling masks viewed as intp, so a mask or a
+    difference A xor B indexes a table of 2^N entries directly.  A row block
+    (start, v) holds A xor B for its rows' pairs with the columns from start
+    on, row-major, with 0 on the diagonal and below it.
     """
     check_pair_budget(N, p)
-    masks = mask_table(N, p)
-    n = masks.size
-    values, inverse = np.unique((masks[:, None] ^ masks[None, :]).ravel(), return_inverse=True)
-    inverse = inverse.reshape(n, n)
-    rows = max(1, _PAIR_BLOCK_ENTRIES // n)
-    blocks = [(start, np.triu(inverse[start : start + rows, start:], 1).ravel())
-              for start in range(0, n, rows)]
-    _, ranks, bins = np.intersect1d(masks, values, assume_unique=True, return_indices=True)
-    for x in (ranks, bins, *(block_bins for _, block_bins in blocks)):
-        x.flags.writeable = False
-    return tuple(blocks), values.size, ranks, bins
+    masks = mask_table(N, p).view(np.intp)
+    rows = max(1, _PAIR_BLOCK_ENTRIES // masks.size)
+    blocks = tuple((start, np.triu(masks[start : start + rows, None] ^ masks[None, start:], 1).ravel())
+                   for start in range(0, masks.size, rows))
+    for _, block_v in blocks:
+        block_v.flags.writeable = False
+    return blocks, masks
 
 
 def h4_quadruple_loop(disorder: Disorder) -> float:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -307,10 +308,15 @@ def save_disorder(disorder: Disorder, path) -> None:
     )
     payload = np.ascontiguousarray(disorder.couplings, dtype="<f8").tobytes()
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_disorder(path) -> Disorder:
@@ -319,7 +325,10 @@ def load_disorder(path) -> Disorder:
         magic = fh.read(5)
         if magic != _MAGIC:
             raise DataError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        N, p, seed = struct.unpack("<QQQ", fh.read(24))
+        header = fh.read(24)
+        if len(header) != 24:
+            raise DataError(f"header is {5 + len(header)} bytes, expected 29")
+        N, p, seed = struct.unpack("<QQQ", header)
         params = ModelParams(N=int(N), p=int(p))
         data = fh.read()
     expected = params.n_couplings * 8

@@ -110,6 +110,42 @@ def h4_pair_grouping(disorder):
     return params.a_n**4 / 24.0 * quad_sum
 
 
+def sorted_bin_pair_plan(N, p, block_entries=2**14):
+    """(row blocks, bin count, coupling ranks, their bins): the pair plan with sorted bins.
+
+    Bins number the distinct A xor B in increasing order, so bin 0 is
+    v = 0; a row block (start, bins) holds the bins of its rows' pairs with
+    the columns from start on, row-major, the diagonal and below in bin 0.
+    """
+    masks = mask_table(N, p)
+    n = masks.size
+    values, inverse = np.unique((masks[:, None] ^ masks[None, :]).ravel(), return_inverse=True)
+    inverse = inverse.reshape(n, n)
+    rows = max(1, block_entries // n)
+    blocks = [(start, np.triu(inverse[start : start + rows, start:], 1).ravel())
+              for start in range(0, n, rows)]
+    _, ranks, bins = np.intersect1d(masks, values, assume_unique=True, return_indices=True)
+    return blocks, values.size, ranks, bins
+
+
+def sorted_bin_pair_sums(disorder):
+    """(E_sigma(-H^3), H4) from a pair table over the sorted bins of A xor B."""
+    params = disorder.params
+    blocks, n_bins, ranks, bins = sorted_bin_pair_plan(params.N, params.p)
+    couplings = disorder.couplings
+    n = couplings.size
+    table = np.zeros(n_bins)
+    for start, block_bins in blocks:
+        rows = couplings[start : start + block_bins.size // (n - start)]
+        np.add.at(table, block_bins, np.outer(rows, couplings[start:]).ravel())
+    table *= 2.0
+    h3 = float(np.einsum("i,i->", couplings[ranks], table[bins]))
+    j2 = float(np.einsum("i,i->", couplings, couplings))
+    j4 = float(np.sum(couplings**4))
+    quad_sum = float(np.einsum("i,i->", table[1:], table[1:])) - 2.0 * (j2 * j2 - j4)
+    return params.a_n**3 * h3, params.a_n**4 / 24.0 * quad_sum
+
+
 def exact_pair_sums(disorder):
     """((h3, h3 size), (h4, h4 size)) from exact rational pair products.
 

@@ -314,10 +314,12 @@ def test_identities_pair_budget_before_first_replica(monkeypatch, capsys):
     monkeypatch.setattr(harness, "sample_disorder", no_replica)
     with pytest.raises(ResourceLimitError):
         run_experiment(config(22, 6, 0.4, "identities", 2))
-    code = main(["identities", "--n", "22", "--p", "6", "--replicas", "2"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: pair plan") and err.count("\n") == 1
+    # n^2 = 5.6e9 pairs at (22, 6); a table of 2^28 doubles, 2 GiB, at (28, 2)
+    for n, p in (("22", "6"), ("28", "2")):
+        code = main(["identities", "--n", n, "--p", p, "--replicas", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: pair plan") and err.count("\n") == 1
 
 
 def test_identities_pair_plan_built_in_parent():

@@ -274,6 +274,20 @@ def test_default_chunks_are_cache_sized():
     assert [c.size for c in field_chunks(d, half=True)] == [1 << 17]
 
 
+def test_pass_holds_one_table_at_a_time():
+    # (21, 3) half is two 2^19-state chunks (4 MiB each): the first is
+    # dropped before the second is built
+    d = sample_disorder(ModelParams(N=21, p=3), 1)
+    partition_and_power_sums(d, 0.3)
+    tracemalloc.start()
+    try:
+        partition_and_power_sums(d, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
 def test_multi_chunk_pass_matches_single_table_large_binom(monkeypatch):
     # (18, 9) is one table by default; in 2^16-state chunks every chunk
     # scatters all 48620 couplings with its own high-bit signs

@@ -31,6 +31,7 @@ from pspinlab import (
     j_mgf_mc,
     j_term,
     log_partition,
+    mask_table,
     pair_moment_paths,
     pair_statistic_moment,
     pair_sums,
@@ -43,6 +44,7 @@ from _oracles import (
     h3_pair_scan,
     h4_pair_grouping,
     naive_field_table,
+    sorted_bin_pair_sums,
 )
 
 
@@ -255,6 +257,29 @@ def test_pair_plan_matches_per_call_oracles(fresh_pair_plan):
                 assert h3 == 0.0
 
 
+def test_pair_sums_match_sorted_bin_oracle(fresh_pair_plan):
+    # the table indexed by v sums each entry in the order of the sorted bins
+    grid = ((4, 2), (8, 2), (11, 2), (5, 5), (6, 6), (7, 3), (9, 3), (13, 5),
+            (9, 4), (12, 4), (10, 6), (14, 4), (16, 3))
+    for N, p in grid:
+        for seed in range(3):
+            d = make_disorder(N, p, 7100 + 100 * N + 10 * p + seed)
+            assert pair_sums(d) == sorted_bin_pair_sums(d)
+
+
+def test_pair_plan_build_peak(fresh_pair_plan):
+    for N, p in ((12, 4), (14, 4)):
+        mask_table(N, p)
+        fresh_pair_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            fresh_pair_plan(N, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * math.comb(N, p) ** 2
+
+
 def test_pair_plan_multi_block_h3(fresh_pair_plan, monkeypatch):
     # 1, 7 and >= n rows per block; np.add.at bins in index order, so every
     # block size gives the same bits
@@ -296,10 +321,15 @@ def test_pair_plan_built_once_per_shape(fresh_pair_plan):
 
 
 def test_pair_plan_byte_budget(fresh_pair_plan):
-    momentlab.check_pair_budget(20, 4)
-    # (22, 4) passes a cap of 2e8 pairs but its build would need ~3 GiB
+    for N in (20, 21, 22, 25):
+        momentlab.check_pair_budget(N, 4)
+    # 14950^2 pairs at 8 B (1.79 GB) and a 2^26-entry table (0.54 GB) exceed 2 GiB
     with pytest.raises(ResourceLimitError):
-        momentlab.check_pair_budget(22, 4)
+        momentlab.check_pair_budget(26, 4)
+    # a table of 2^28 doubles is 2 GiB by itself
+    momentlab.check_pair_budget(27, 2)
+    with pytest.raises(ResourceLimitError):
+        momentlab.check_pair_budget(28, 2)
     # n^2 = 5.6e9 alone exceeds the budget: refused before any allocation
     d = make_disorder(22, 6, 1)
     for fn in (h3_representation, h4_direct):

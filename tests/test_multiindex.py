@@ -203,6 +203,19 @@ def test_disorder_file_rejects_garbage(tmp_path):
     (tmp_path / "trunc.pspn").write_bytes(data[: len(data) - 16])
     with pytest.raises(DataError):
         load_disorder(str(tmp_path / "trunc.pspn"))
+    path.write_bytes(b"PSPN1\x01\x02")
+    with pytest.raises(DataError):
+        load_disorder(str(path))
+
+
+def test_disorder_file_failed_rename_leaves_no_temp(tmp_path):
+    # the target is a directory, so the rename fails after the write
+    d = sample_disorder(ModelParams(N=8, p=3), 1)
+    target = tmp_path / "out.pspn"
+    target.mkdir()
+    with pytest.raises(OSError):
+        save_disorder(d, str(target))
+    assert [f.name for f in tmp_path.iterdir()] == ["out.pspn"]
 
 
 def test_disorder_couplings_validated():
