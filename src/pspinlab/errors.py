@@ -13,6 +13,10 @@ class ResourceLimitError(PspinError, RuntimeError):
     """The request exceeds the enumeration or memory budget."""
 
 
+# The memory budget of each guarded allocation, a quarter of an 8 GB machine.
+BYTE_BUDGET = 2 * 2**30
+
+
 class DataError(PspinError, ValueError):
     """Input data is unusable (non-finite couplings, corrupt files)."""
 

@@ -44,7 +44,7 @@ import numpy as np
 from scipy.special import kolmogorov, ndtr
 
 from .covariance import expansion_approx, exact_covariance, hermite, overlap_grid
-from .errors import InvalidParametersError, NumericalError, ResourceLimitError
+from .errors import BYTE_BUDGET, InvalidParametersError, NumericalError, ResourceLimitError
 from .model import check_enumeration_budget, j_term
 from .momentlab import (
     BRUTE_PAIR_N,
@@ -126,7 +126,6 @@ _IDENTITY_TOLERANCES = {
 # (tracemalloc, 2,000-4,000 replicas): 347 B jterm_clt, 388 B theorem1 and
 # theorem2, 587 B identities; 768 B leaves a margin over the largest.
 _ROW_BYTES = 768
-_ROW_BYTE_BUDGET = 2 * 2**30
 
 
 @dataclass(frozen=True)
@@ -429,9 +428,9 @@ def _replica_rows(config: ExperimentConfig, mode: _Mode, threads: int) -> tuple:
     if mode.enumerates:
         check_enumeration_budget(params)
     check_coupling_budget(params.N, params.p)
-    if config.replicas * _ROW_BYTES > _ROW_BYTE_BUDGET:
+    if config.replicas * _ROW_BYTES > BYTE_BUDGET:
         raise ResourceLimitError(
-            f"{config.replicas} replicas exceed the {_ROW_BYTE_BUDGET >> 30} GiB "
+            f"{config.replicas} replicas exceed the {BYTE_BUDGET >> 30} GiB "
             f"budget at {_ROW_BYTES} B/row"
         )
     target = None

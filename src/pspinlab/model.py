@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DataError, InvalidParametersError, ResourceLimitError
+from .errors import BYTE_BUDGET, DataError, InvalidParametersError, ResourceLimitError
 from .multiindex import Disorder, ModelParams, mask_table
 
 __all__ = [
@@ -72,10 +72,10 @@ _DIRECT_TABLE_BITS = 24
 # 1.4e5..2.5e6): 26-31 B for the scatter index, the coupling signs and the
 # scatter weights, 34-39 B with the mask table built inside.
 _PASS_COUPLING_BYTES = 96
-_PASS_BYTE_BUDGET = 2 * 2**30
 
 # FWHT blocking: a block of 2^16 doubles (512 KiB) and its two ping-pong
-# buffers fit in L2.  Every plan runs in the same buffers, under the lock.
+# buffers fit in L2.  Every plan runs in the same buffers, under the lock;
+# the wide stages borrow the first buffer as scratch for their differences.
 _FWHT_BLOCK_BITS = 16
 _BLOCK_BUFFERS = (np.empty(1 << _FWHT_BLOCK_BITS), np.empty(1 << _FWHT_BLOCK_BITS))
 _BLOCK_LOCK = threading.Lock()
@@ -165,30 +165,6 @@ def gray_sweep(disorder: Disorder, visitor) -> None:
         if not t % _RESYNC_INTERVAL:
             ledger.resync()
         visitor(ledger.bits, ledger.current_X)
-
-
-def _wht_axis0(x: np.ndarray, t: np.ndarray) -> None:
-    """Walsh-Hadamard transform along axis 0 of the 2-D view x, in place.
-
-    ``t`` is scratch of x's shape.  A radix-4 step runs the radix-2 stages
-    h and 2h, x -> t -> x, with the same additions in the same order as two
-    separate radix-2 stages; a radix-2 tail covers an odd stage count.
-    """
-    rows, cols = x.shape
-    h = 1
-    while 4 * h <= rows:
-        q = x.reshape(-1, 4, h, cols)
-        r = t.reshape(-1, 4, h, cols)
-        for src, dst, pairs in ((q, r, ((0, 1), (2, 3))), (r, q, ((0, 2), (1, 3)))):
-            for i, j in pairs:
-                np.add(src[:, i], src[:, j], out=dst[:, i])
-                np.subtract(src[:, i], src[:, j], out=dst[:, j])
-        h *= 4
-    if h < rows:
-        lo, hi, diff = x[:h], x[h:], t[:h]
-        np.subtract(lo, hi, out=diff)
-        lo += hi
-        hi[...] = diff
 
 
 class _BallPlan:
@@ -307,8 +283,9 @@ def _scatter_index(N: int, p: int, bits: int) -> np.ndarray:
 def _transform(slots: np.ndarray, plans: list, out: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform, natural ordering, of a scattered chunk into ``out``.
 
-    Each block runs its :class:`_BallPlan` on its slots; the wide stages of
-    a chunk of several blocks then run over column slices.
+    Each block runs its :class:`_BallPlan` on its slots.  The wide stages of
+    a chunk of several blocks then run in place over cache-sized column
+    slices: the radix-2 stages h = 1, 2, ... < rows, in the dense loop's order.
     """
     block = 1 << _FWHT_BLOCK_BITS
     with _BLOCK_LOCK:
@@ -321,9 +298,15 @@ def _transform(slots: np.ndarray, plans: list, out: np.ndarray) -> np.ndarray:
             rows = len(plans)
             width = block // rows
             wide = out.reshape(rows, block)
-            t = _BLOCK_BUFFERS[0].reshape(rows, width)
             for col in range(0, block, width):
-                _wht_axis0(wide[:, col : col + width], t)
+                h = 1
+                while h < rows:
+                    q = wide[:, col : col + width].reshape(-1, 2, h, width)
+                    lo, hi = q[:, 0], q[:, 1]
+                    diff = np.subtract(lo, hi, out=_BLOCK_BUFFERS[0][: block // 2].reshape(lo.shape))
+                    lo += hi
+                    hi[...] = diff
+                    h *= 2
     return out
 
 
@@ -474,8 +457,8 @@ def check_enumeration_budget(params: ModelParams) -> None:
             f"N={params.N} exceeds the enumeration budget N <= {ENUMERATION_BUDGET} "
             f"(cost ~ 2^N states)"
         )
-    if params.n_couplings * _PASS_COUPLING_BYTES > _PASS_BYTE_BUDGET:
+    if params.n_couplings * _PASS_COUPLING_BYTES > BYTE_BUDGET:
         raise ResourceLimitError(
             f"binom({params.N},{params.p}) = {params.n_couplings} couplings exceed the "
-            f"{_PASS_BYTE_BUDGET >> 30} GiB enumeration budget at {_PASS_COUPLING_BYTES} B/coupling"
+            f"{BYTE_BUDGET >> 30} GiB enumeration budget at {_PASS_COUPLING_BYTES} B/coupling"
         )

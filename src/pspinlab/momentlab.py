@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .covariance import covariance_numerator
-from .errors import IdentityCheckError, InvalidParametersError, ResourceLimitError
+from .errors import BYTE_BUDGET, IdentityCheckError, InvalidParametersError, ResourceLimitError
 from .model import j_term, partition_and_power_sums
 from .multiindex import (
     Disorder,
@@ -75,7 +75,6 @@ __all__ = [
 # a call adds 8 B per table entry, 2^N of them, and one row block.  The harness
 # builds the plan before its pool forks, so workers share it.
 _PLAN_BYTES_PER_PAIR = 8
-_PLAN_BYTE_BUDGET = 2 * 2**30
 _PAIR_BLOCK_ENTRIES = 2**13   # pair-table row block = this // n rows: a 64 KiB scratch
 _QUAD_BUDGET = 2 * 10**6      # binom^3 cap for the literal quadruple loop
 BRUTE_PAIR_N = 14             # brute-force pair-moment budget
@@ -191,10 +190,10 @@ def pair_sums(disorder: Disorder) -> tuple:
 def check_pair_budget(N: int, p: int) -> None:
     """Refuse an (N, p) whose pair plan and 2^N-entry table would not fit the byte budget."""
     pairs = math.comb(N, p) ** 2
-    if pairs * _PLAN_BYTES_PER_PAIR + 8 * 2**N > _PLAN_BYTE_BUDGET:
+    if pairs * _PLAN_BYTES_PER_PAIR + 8 * 2**N > BYTE_BUDGET:
         raise ResourceLimitError(
             f"pair plan over binom^2 = {pairs} pairs at {_PLAN_BYTES_PER_PAIR} B/pair "
-            f"and its 2^{N}-entry table exceed the {_PLAN_BYTE_BUDGET >> 30} GiB budget"
+            f"and its 2^{N}-entry table exceed the {BYTE_BUDGET >> 30} GiB budget"
         )
 
 

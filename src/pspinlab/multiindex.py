@@ -29,7 +29,7 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from .errors import DataError, InvalidParametersError, ResourceLimitError
+from .errors import BYTE_BUDGET, DataError, InvalidParametersError, ResourceLimitError
 
 _MASK64 = (1 << 64) - 1
 _MAGIC = b"PSPN1"
@@ -38,7 +38,6 @@ _MAGIC = b"PSPN1"
 # mask table takes 16-19 B; drawing a disorder takes 24 B (Philox words, then
 # normals), 32 B next to the cached 8 B mask table of an enumerating mode.
 _COUPLING_BYTES = 40
-_COUPLING_BYTE_BUDGET = 2 * 2**30
 
 # A multi-index is a plain tuple of strictly increasing site labels in [1, N].
 MultiIndex = tuple
@@ -218,7 +217,7 @@ def mask_table(N: int, p: int) -> np.ndarray:
     """uint64 bitmasks of all multi-indices, in colex (= ascending) order.
 
     Ascending numeric order makes ``np.searchsorted`` a rank lookup.  The
-    result is cached and read-only; callers share one array per (N, p).
+    last two results are cached, read-only; callers share one per (N, p).
     """
     _check_np(N, p)
     return _mask_table_cached(N, p)
@@ -227,14 +226,14 @@ def mask_table(N: int, p: int) -> np.ndarray:
 def check_coupling_budget(N: int, p: int) -> None:
     """Refuse an (N, p) whose binom(N, p) couplings would not fit the byte budget."""
     n = math.comb(N, p)
-    if n * _COUPLING_BYTES > _COUPLING_BYTE_BUDGET:
+    if n * _COUPLING_BYTES > BYTE_BUDGET:
         raise ResourceLimitError(
-            f"binom({N},{p}) = {n} couplings exceed the {_COUPLING_BYTE_BUDGET >> 30} GiB "
+            f"binom({N},{p}) = {n} couplings exceed the {BYTE_BUDGET >> 30} GiB "
             f"budget at {_COUPLING_BYTES} B/coupling"
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)  # the run path uses one (N, p) per process
 def _mask_table_cached(N: int, p: int) -> np.ndarray:
     check_coupling_budget(N, p)
     # Colex order is ascending mask order, so over the sites 1..n

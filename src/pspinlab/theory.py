@@ -51,6 +51,7 @@ _LN2 = math.log(2.0)
 _GRID_POINTS = 10_000
 _BRACKET_LO = 1e-6   # smallest magnetization kept in the scan
 _LAYER_LO = 1e-16    # deepest boundary-layer distance 1 - m resolved
+_BRENT_TOL = 1e-10   # xatol of the Brent polish, in ln(1 - m)
 
 
 @dataclass(frozen=True)
@@ -200,28 +201,26 @@ def _bounded_brent(func, lo: float, hi: float, xatol: float, maxiter: int = 500)
     return xf, fx
 
 
-def beta_p(p: int, tol: float = 1e-10) -> float:
+def beta_p(p: int) -> float:
     """Critical inverse temperature: sqrt of inf over (0,1) of g(m).
 
     The minimizer approaches m = 1 - 2^{1-p} as p grows, so the scan runs
     on a log-spaced grid in u = 1 - m (10^4 points down to u = 1e-16) and
     bounded Brent refinement in ln u polishes the bracketing cell to
-    |dm| < tol.  The objective is evaluated as the excess g - 2 ln 2 in a
+    |d ln u| < 1e-10.  The objective is evaluated as the excess g - 2 ln 2 in a
     cancellation-free form; otherwise the boundary-layer minimum drowns in
     rounding and the computed value can cross the m -> 1 limit 2 ln 2.
     By convention beta_2 = 1.
     """
     if p < 2:
         raise InvalidParametersError(f"p={p} must be >= 2")
-    if tol <= 0.0:
-        raise InvalidParametersError(f"tol={tol} must be > 0")
     if p == 2:
         return 1.0
     t_grid = np.linspace(math.log(_LAYER_LO), math.log(1.0 - _BRACKET_LO), _GRID_POINTS)
     i = int(np.argmin(_excess_grid(np.exp(t_grid), p)))
     lo = t_grid[max(i - 1, 0)]
     hi = t_grid[min(i + 1, _GRID_POINTS - 1)]
-    t_min, excess = _bounded_brent(lambda t: _excess_objective(math.exp(t), p), lo, hi, tol)
+    t_min, excess = _bounded_brent(lambda t: _excess_objective(math.exp(t), p), lo, hi, _BRENT_TOL)
     if not (lo <= t_min <= hi):
         raise NumericalError(f"failed to bracket the minimum of g for p={p}")
     excess = min(excess, _excess_objective(math.exp(t_grid[i]), p))

@@ -123,10 +123,10 @@ def test_field_chunks_agree_with_direct_table():
 
 
 def test_fwht_bit_identical_to_radix2_stages():
-    # odd and even log2 sizes, up to past the cache block (2^16) so the
-    # wide column-slice stages run too
+    # odd and even log2 sizes, up to 2^22 so that 1 to 6 wide column-slice
+    # stages (odd and even counts) run past the cache block (2^16)
     rng = np.random.default_rng(3)
-    for bits in range(1, 19):
+    for bits in range(1, 23):
         x = rng.standard_normal(1 << bits)
         assert np.array_equal(_fwht(x.copy()), fwht_radix2(x.copy())), bits
 
@@ -139,13 +139,15 @@ def test_field_chunks_bit_identical_to_dense_oracle():
     # with its own radius, at (20, 5) and (19, 6); explicit chunks of 2^2,
     # 2^4, 2^8 and four blocks (18); and at (20, 2) in 2^19 chunks, a block
     # whose index has more bits set than p.  Then one fold each: the full
-    # 2^16 table of (16, 3), the half (20, 4), the nearly dense (10, 8) and
-    # the 32 chunks of the half (22, 3)
+    # 2^16 table of (16, 3), the half (20, 4), the nearly dense (10, 8),
+    # the 32 chunks of the half (22, 3) and the one 2^21 chunk of the half
+    # (22, 7): 32 rows, so five wide stages
     cases = [(12, 4, None), (20, 8, None), (20, 3, None), (18, 4, None),
              (20, 5, None), (19, 6, None), (12, 3, 2), (12, 3, 4), (14, 4, 8),
              (20, 3, 18), (20, 2, 19)]
     runs = [(N, p, chunk_bits, half) for N, p, chunk_bits in cases for half in (True, False)]
-    runs += [(16, 3, None, False), (20, 4, None, True), (10, 8, None, False), (22, 3, None, True)]
+    runs += [(16, 3, None, False), (20, 4, None, True), (10, 8, None, False), (22, 3, None, True),
+             (22, 7, None, True)]
     for N, p, chunk_bits, half in runs:
         d = sample_disorder(ModelParams(N=N, p=p), 60 + N + p)
         got = list(field_chunks(d, half=half, chunk_bits=chunk_bits))

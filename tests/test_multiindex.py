@@ -119,6 +119,22 @@ def test_mask_table_build_memory_bounded():
     assert peak < 48 * n
 
 
+def test_mask_table_cache_memory_bounded():
+    # the cache keeps the last two tables, not every table ever built
+    shapes = [(N, 4) for N in range(52, 58)]
+    largest = 8 * max(math.comb(N, p) for N, p in shapes)
+    multiindex._mask_table_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        for N, p in shapes:
+            mask_table(N, p)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        multiindex._mask_table_cached.cache_clear()
+    assert retained < 3 * largest
+
+
 def test_model_params_validation():
     with pytest.raises(InvalidParametersError):
         ModelParams(N=4, p=1)
