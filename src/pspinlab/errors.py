@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types, and the two run-time policies every module shares.
+
+``check_budget`` is the one memory refusal: each guarded allocation states
+its bytes and is refused past ``BYTE_BUDGET``.  ``write_atomic`` is the one
+way a file is written: a per-process temp file renamed over the target, so
+a reader never sees a partial file and a failed write leaves none.
+"""
+
+import os
+from contextlib import suppress
 
 
 class PspinError(Exception):
@@ -15,6 +24,25 @@ class ResourceLimitError(PspinError, RuntimeError):
 
 # The memory budget of each guarded allocation, a quarter of an 8 GB machine.
 BYTE_BUDGET = 2 * 2**30
+
+
+def check_budget(n_bytes: int, what: str) -> None:
+    """Refuse an allocation of ``n_bytes``, described by ``what``, past the byte budget."""
+    if n_bytes > BYTE_BUDGET:
+        raise ResourceLimitError(f"{what} exceed the {BYTE_BUDGET >> 30} GiB budget")
+
+
+def write_atomic(path, chunks, mode: str = "w") -> None:
+    """Write ``chunks`` to ``path`` by renaming a per-process temp file, removed on failure."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, mode) as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 class DataError(PspinError, ValueError):

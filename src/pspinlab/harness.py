@@ -25,7 +25,9 @@ tabulate emit theory tables and draw no replicas.
 The CSV schema is fixed: replica,f_n,j_n,t_n,scaled_t1,scaled_gap,scaled_t2.
 Columns that a mode does not produce are left empty.  The JSON report
 carries wallclock_seconds, which is excluded from any reproducibility
-comparison; everything else in the report is deterministic.
+comparison; everything else in the report is deterministic.  Every file a
+run writes is checked before its first replica and written, atomically,
+only once its results have passed their checks: a refused run writes none.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import math
 import multiprocessing
 import os
 import time
-from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -44,10 +45,11 @@ import numpy as np
 from scipy.special import kolmogorov, ndtr
 
 from .covariance import expansion_approx, exact_covariance, hermite, overlap_grid
-from .errors import BYTE_BUDGET, InvalidParametersError, NumericalError, ResourceLimitError
+from .errors import InvalidParametersError, NumericalError, check_budget, write_atomic
 from .model import check_enumeration_budget, j_term
 from .momentlab import (
     BRUTE_PAIR_N,
+    check_pair_budget,
     free_energy_and_moments,
     pair_moment_paths,
     pair_plan,
@@ -307,16 +309,17 @@ def _row(config: ExperimentConfig, a_exp: Optional[float], idx: int) -> tuple:
     return sample, residuals
 
 
-def _csv_line(s: FluctuationSample) -> str:
-    # the fields are in CSV_HEADER order; a field the mode does not produce is empty
-    index, *values = vars(s).values()
-    return ",".join([str(index)] + ["" if v is None else repr(float(v)) for v in values])
+def _csv_lines(samples: list):
+    """The CSV text, one line at a time; a field the mode does not produce is empty."""
+    yield CSV_HEADER + "\n"
+    for s in samples:
+        index, *values = vars(s).values()  # in CSV_HEADER order
+        yield ",".join([str(index)] + ["" if v is None else repr(float(v)) for v in values]) + "\n"
 
 
-def _iter_rows(config: ExperimentConfig, a_exp: Optional[float], threads: int):
+def _iter_rows(config: ExperimentConfig, a_exp: Optional[float], workers: int):
     m = config.replicas
-    workers = min(threads, len(os.sched_getaffinity(0)))
-    if workers == 1 or m < 2 * workers:
+    if workers == 1:
         for idx in range(m):
             yield _row(config, a_exp, idx)
         return
@@ -334,19 +337,6 @@ def finite_json(doc: dict) -> str:
     except ValueError as exc:
         # a huge beta overflows a result to inf without raising
         raise NumericalError(f"a result is not finite: {exc}") from None
-
-
-def _write_atomic(path: str, text: str) -> None:
-    # a per-process temp name, removed again if the write or the rename fails
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with suppress(OSError):
-            os.remove(tmp)
-        raise
 
 
 def _check_output_path(path: str) -> None:
@@ -413,7 +403,7 @@ def _identity_report(params: ModelParams, rows: list) -> dict:
 
 
 def _replica_rows(config: ExperimentConfig, mode: _Mode, threads: int) -> tuple:
-    """(rows, supercritical, target) for a replica mode, streaming its CSV if asked.
+    """(rows, supercritical, target) for a replica mode.
 
     Every refusal comes before the first replica draws its disorder.
     """
@@ -428,11 +418,7 @@ def _replica_rows(config: ExperimentConfig, mode: _Mode, threads: int) -> tuple:
     if mode.enumerates:
         check_enumeration_budget(params)
     check_coupling_budget(params.N, params.p)
-    if config.replicas * _ROW_BYTES > BYTE_BUDGET:
-        raise ResourceLimitError(
-            f"{config.replicas} replicas exceed the {BYTE_BUDGET >> 30} GiB "
-            f"budget at {_ROW_BYTES} B/row"
-        )
+    check_budget(config.replicas * _ROW_BYTES, f"{config.replicas} replicas at {_ROW_BYTES} B/row")
     target = None
     if mode.target is not None:
         target = mode.target(params)
@@ -441,22 +427,17 @@ def _replica_rows(config: ExperimentConfig, mode: _Mode, threads: int) -> tuple:
                 f"mode {config.mode} needs a target normal of positive variance; "
                 f"beta={params.beta} gives {target[1]}"
             )
+    # the processes that fill rows: at most one per usable CPU, one for a short run
+    workers = min(threads, len(os.sched_getaffinity(0)))
+    workers = 1 if config.replicas < 2 * workers else workers
     a_exp = None
     if mode.statistic is None:
+        check_pair_budget(params.N, params.p, workers)
         # built here, before any pool forks, so workers share it copy-on-write
         pair_plan(params.N, params.p)
     elif mode.enumerates and params.p >= 3:
         a_exp = limit_constants(params.beta, params.p).a_exponent
-    rows = []
-    write_csv = mode.statistic is not None and config.output_path and config.format == "csv"
-    with open(config.output_path, "w") if write_csv else nullcontext() as csv_fh:
-        if write_csv:
-            csv_fh.write(CSV_HEADER + "\n")
-        for row in _iter_rows(config, a_exp, threads):
-            rows.append(row)
-            if write_csv:
-                csv_fh.write(_csv_line(row[0]) + "\n")
-    return rows, supercritical, target
+    return list(_iter_rows(config, a_exp, workers)), supercritical, target
 
 
 def run_experiment(
@@ -472,15 +453,16 @@ def run_experiment(
     threads = _resolve_threads(threads)
     params = config.params
     mode = _MODE_TABLE[config.mode]
-    if config.output_path:
-        _check_output_path(config.output_path)
-    rows, summary, identities, constants, supercritical = [], None, None, None, False
+    path = config.output_path
+    csv = mode.statistic is not None and config.format == "csv"
+    paths = [path, f"{path}.report.json"] if csv else [path]
+    for out in paths if path else ():
+        _check_output_path(out)
+    rows, summary, identities, constants, supercritical, text = [], None, None, None, False, None
     if config.mode == "constants":
         constants = _constants_payload(params)
     elif config.mode == "tabulate":
         text = tabulate_text(params.N, params.p)
-        if config.output_path:
-            _write_atomic(config.output_path, text)
         constants = {"rows": len(text.splitlines()) - 1}
     else:
         rows, supercritical, target = _replica_rows(config, mode, threads)
@@ -499,13 +481,15 @@ def run_experiment(
         supercritical=supercritical,
         wallclock_seconds=time.perf_counter() - t0,
     )
-    if config.output_path and config.mode != "tabulate":
-        doc = report.to_json_dict()
-        path = config.output_path
-        if summary is not None and config.format == "json":
-            keys = CSV_HEADER.split(",")
-            doc["samples"] = [dict(zip(keys, vars(s).values())) for s in samples]
-        elif summary is not None:
-            path += ".report.json"
-        _write_atomic(path, finite_json(doc) + "\n")
+    if path:
+        if text is None:
+            # rendered first: finite_json refuses a non-finite result before any file exists
+            doc = report.to_json_dict()
+            if summary is not None and not csv:
+                keys = CSV_HEADER.split(",")
+                doc["samples"] = [dict(zip(keys, vars(s).values())) for s in samples]
+            text = finite_json(doc) + "\n"
+        if csv:
+            write_atomic(path, _csv_lines(samples))
+        write_atomic(paths[-1], (text,))
     return report

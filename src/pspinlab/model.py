@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BYTE_BUDGET, DataError, InvalidParametersError, ResourceLimitError
+from .errors import DataError, InvalidParametersError, ResourceLimitError, check_budget
 from .multiindex import Disorder, ModelParams, mask_table
 
 __all__ = [
@@ -457,8 +457,6 @@ def check_enumeration_budget(params: ModelParams) -> None:
             f"N={params.N} exceeds the enumeration budget N <= {ENUMERATION_BUDGET} "
             f"(cost ~ 2^N states)"
         )
-    if params.n_couplings * _PASS_COUPLING_BYTES > BYTE_BUDGET:
-        raise ResourceLimitError(
-            f"binom({params.N},{params.p}) = {params.n_couplings} couplings exceed the "
-            f"{BYTE_BUDGET >> 30} GiB enumeration budget at {_PASS_COUPLING_BYTES} B/coupling"
-        )
+    check_budget(params.n_couplings * _PASS_COUPLING_BYTES,
+                 f"enumeration budget: binom({params.N},{params.p}) = {params.n_couplings} "
+                 f"couplings at {_PASS_COUPLING_BYTES} B/coupling")

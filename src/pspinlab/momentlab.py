@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .covariance import covariance_numerator
-from .errors import BYTE_BUDGET, IdentityCheckError, InvalidParametersError, ResourceLimitError
+from .errors import IdentityCheckError, InvalidParametersError, ResourceLimitError, check_budget
 from .model import j_term, partition_and_power_sums
 from .multiindex import (
     Disorder,
@@ -187,14 +187,15 @@ def pair_sums(disorder: Disorder) -> tuple:
     return params.a_n**3 * h3, params.a_n**4 / 24.0 * quad_sum
 
 
-def check_pair_budget(N: int, p: int) -> None:
-    """Refuse an (N, p) whose pair plan and 2^N-entry table would not fit the byte budget."""
+def check_pair_budget(N: int, p: int, tables: int = 1) -> None:
+    """Refuse an (N, p) whose pair plan and ``tables`` 2^N-entry tables exceed the byte budget.
+
+    Count one table per process that fills one: each forked worker holds its own.
+    """
     pairs = math.comb(N, p) ** 2
-    if pairs * _PLAN_BYTES_PER_PAIR + 8 * 2**N > BYTE_BUDGET:
-        raise ResourceLimitError(
-            f"pair plan over binom^2 = {pairs} pairs at {_PLAN_BYTES_PER_PAIR} B/pair "
-            f"and its 2^{N}-entry table exceed the {BYTE_BUDGET >> 30} GiB budget"
-        )
+    check_budget(pairs * _PLAN_BYTES_PER_PAIR + tables * 8 * 2**N,
+                 f"pair plan over binom^2 = {pairs} pairs at {_PLAN_BYTES_PER_PAIR} B/pair "
+                 f"and {tables} table(s) of 2^{N} entries")
 
 
 @lru_cache(maxsize=1)

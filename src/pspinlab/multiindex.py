@@ -19,9 +19,7 @@ change the values.
 from __future__ import annotations
 
 import math
-import os
 import struct
-from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -29,7 +27,7 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from .errors import BYTE_BUDGET, DataError, InvalidParametersError, ResourceLimitError
+from .errors import DataError, InvalidParametersError, check_budget, write_atomic
 
 _MASK64 = (1 << 64) - 1
 _MAGIC = b"PSPN1"
@@ -226,11 +224,8 @@ def mask_table(N: int, p: int) -> np.ndarray:
 def check_coupling_budget(N: int, p: int) -> None:
     """Refuse an (N, p) whose binom(N, p) couplings would not fit the byte budget."""
     n = math.comb(N, p)
-    if n * _COUPLING_BYTES > BYTE_BUDGET:
-        raise ResourceLimitError(
-            f"binom({N},{p}) = {n} couplings exceed the {BYTE_BUDGET >> 30} GiB "
-            f"budget at {_COUPLING_BYTES} B/coupling"
-        )
+    check_budget(n * _COUPLING_BYTES,
+                 f"binom({N},{p}) = {n} couplings at {_COUPLING_BYTES} B/coupling")
 
 
 @lru_cache(maxsize=2)  # the run path uses one (N, p) per process
@@ -306,16 +301,7 @@ def save_disorder(disorder: Disorder, path) -> None:
         "<QQQ", disorder.params.N, disorder.params.p, disorder.seed & _MASK64
     )
     payload = np.ascontiguousarray(disorder.couplings, dtype="<f8").tobytes()
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(header)
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        with suppress(OSError):
-            os.remove(tmp)
-        raise
+    write_atomic(path, (header, payload), mode="wb")
 
 
 def load_disorder(path) -> Disorder:

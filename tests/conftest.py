@@ -1,0 +1,7 @@
+"""Python processes that tests start import pspinlab from this checkout, as the tests do."""
+
+import os
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))

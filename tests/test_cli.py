@@ -182,15 +182,18 @@ def test_invalid_model_parameters_exit_1(capsys):
 
 
 def test_non_finite_result_writes_no_report(capsys, tmp_path):
-    # the report file is refused with the printed result, not left holding Infinity
-    out_path = tmp_path / "c.json"
-    code, out, err = run_cli(
-        capsys, "run", "--mode", "constants", "--n", "7", "--p", "7",
-        "--beta", "1e38", "--out", str(out_path),
-    )
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1 and "not finite" in err
-    assert list(tmp_path.iterdir()) == []
+    # the report file is refused with the printed result, not left holding
+    # Infinity, and a replica run leaves no CSV of nan cells behind it
+    for argv in (
+        ["--mode", "constants", "--n", "7", "--p", "7", "--beta", "1e38",
+         "--out", str(tmp_path / "c.json")],
+        ["--mode", "theorem1", "--n", "8", "--p", "2", "--beta", "1e77",
+         "--allow-supercritical", "--replicas", "4", "--out", str(tmp_path / "w.csv")],
+    ):
+        code, out, err = run_cli(capsys, "run", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "not finite" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_seed_outside_64_bits_exit_1(capsys, tmp_path, monkeypatch):
@@ -244,6 +247,24 @@ def test_unwritable_out_refused_before_any_replica(capsys, tmp_path, monkeypatch
             assert code == 1 and stdout == ""
             assert err.startswith(f"error: cannot write {out!r}:") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_report_sidecar_refused_before_any_replica(capsys, tmp_path, monkeypatch):
+    # the .report.json next to the CSV is checked up front, like the CSV itself
+    def no_replica(*args):
+        raise AssertionError("a replica ran before the output path check")
+
+    monkeypatch.setattr(harness, "sample_disorder", no_replica)
+    out = tmp_path / "x.csv"
+    sidecar = tmp_path / "x.csv.report.json"
+    sidecar.mkdir()
+    code, stdout, err = run_cli(
+        capsys, "run", "--mode", "theorem1", "--n", "10", "--p", "3", "--beta", "0.3",
+        "--replicas", "6", "--out", str(out),
+    )
+    assert code == 1 and stdout == ""
+    assert err.startswith(f"error: cannot write {str(sidecar)!r}:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [sidecar] and list(sidecar.iterdir()) == []
 
 
 def test_report_to_directory_leaves_no_temp_file(capsys, tmp_path):

@@ -24,7 +24,7 @@ from pspinlab import (
     summarize,
     tabulate_covariance,
 )
-from pspinlab import harness, momentlab
+from pspinlab import errors, harness, momentlab
 from pspinlab.cli import main
 from pspinlab.harness import _resolve_threads
 from pspinlab.model import check_enumeration_budget
@@ -322,6 +322,20 @@ def test_identities_pair_budget_before_first_replica(monkeypatch, capsys):
         assert err.startswith("error: pair plan") and err.count("\n") == 1
 
 
+def test_identities_pair_budget_counts_one_table_per_worker(monkeypatch, capsys):
+    # a 2^27-entry table is 1 GiB; two forked workers each fill one
+    def no_replica(*args):
+        raise AssertionError("a replica ran before the pair budget check")
+
+    monkeypatch.setattr(harness, "sample_disorder", no_replica)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+    momentlab.check_pair_budget(27, 2)
+    code = main(["identities", "--n", "27", "--p", "2", "--replicas", "4", "--threads", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: pair plan") and err.count("\n") == 1
+
+
 def test_identities_pair_plan_built_in_parent():
     # forked workers share the parent's plan instead of each building one
     momentlab.pair_plan.cache_clear()
@@ -492,7 +506,7 @@ def test_write_atomic_removes_its_temp_file(tmp_path, monkeypatch):
     def failing_replace(src, dst):
         raise OSError("rename failed")
 
-    monkeypatch.setattr(harness.os, "replace", failing_replace)
+    monkeypatch.setattr(errors.os, "replace", failing_replace)
     with pytest.raises(OSError, match="rename failed"):
-        harness._write_atomic(str(tmp_path / "r.json"), "{}\n")
+        errors.write_atomic(str(tmp_path / "r.json"), ["{}\n"])
     assert list(tmp_path.iterdir()) == []
