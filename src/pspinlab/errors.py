@@ -4,6 +4,8 @@
 its bytes and is refused past ``BYTE_BUDGET``.  ``write_atomic`` is the one
 way a file is written: a per-process temp file renamed over the target, so
 a reader never sees a partial file and a failed write leaves none.
+``check_writable``, which it calls, refuses up front a target that is not a
+regular file.
 """
 
 import os
@@ -32,13 +34,35 @@ def check_budget(n_bytes: int, what: str) -> None:
         raise ResourceLimitError(f"{what} exceed the {BYTE_BUDGET >> 30} GiB budget")
 
 
+def check_writable(path) -> str:
+    """The file a write to ``path`` replaces: ``path``, or a symlink's target.
+
+    Refused unless it is a regular file or absent, in a writable directory:
+    a rename over a FIFO or a device node would replace it with a file.
+    """
+    target = os.path.realpath(path)
+    directory = os.path.dirname(target)
+    if os.path.isdir(target):
+        raise OSError(f"cannot write {path!r}: it is a directory")
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise OSError(f"cannot write {path!r}: it is not a regular file")
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise OSError(f"cannot write {path!r}: {directory!r} is not a writable directory")
+    return target
+
+
 def write_atomic(path, chunks, mode: str = "w") -> None:
-    """Write ``chunks`` to ``path`` by renaming a per-process temp file, removed on failure."""
-    tmp = f"{path}.tmp.{os.getpid()}"
+    """Write ``chunks`` to ``path`` by renaming a per-process temp file, removed on failure.
+
+    A symlink is written through to its target; a path that
+    :func:`check_writable` refuses is refused before the temp file exists.
+    """
+    target = check_writable(path)
+    tmp = f"{target}.tmp.{os.getpid()}"
     try:
         with open(tmp, mode) as fh:
             fh.writelines(chunks)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         with suppress(OSError):
             os.remove(tmp)

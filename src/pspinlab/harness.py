@@ -45,7 +45,8 @@ import numpy as np
 from scipy.special import kolmogorov, ndtr
 
 from .covariance import expansion_approx, exact_covariance, hermite, overlap_grid
-from .errors import InvalidParametersError, NumericalError, check_budget, write_atomic
+from .errors import (InvalidParametersError, NumericalError, check_budget, check_writable,
+                     write_atomic)
 from .model import check_enumeration_budget, j_term
 from .momentlab import (
     BRUTE_PAIR_N,
@@ -339,15 +340,6 @@ def finite_json(doc: dict) -> str:
         raise NumericalError(f"a result is not finite: {exc}") from None
 
 
-def _check_output_path(path: str) -> None:
-    """Refuse an output path that cannot be written, before any work is done."""
-    directory = os.path.dirname(path) or "."
-    if os.path.isdir(path):
-        raise OSError(f"cannot write {path!r}: it is a directory")
-    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
-        raise OSError(f"cannot write {path!r}: {directory!r} is not a writable directory")
-
-
 def _constants_payload(params: ModelParams) -> dict:
     beta = params.beta
     p = params.p
@@ -415,9 +407,13 @@ def _replica_rows(config: ExperimentConfig, mode: _Mode, threads: int) -> tuple:
             f"beta={params.beta} is not below beta_p({params.p})={critical:.6f}; "
             f"pass allow_supercritical to run anyway"
         )
+    # the processes that fill rows: at most one per usable CPU, one for a short
+    # run; each draws its own disorder and runs its own pass
+    workers = min(threads, len(os.sched_getaffinity(0)))
+    workers = 1 if config.replicas < 2 * workers else workers
     if mode.enumerates:
-        check_enumeration_budget(params)
-    check_coupling_budget(params.N, params.p)
+        check_enumeration_budget(params, workers)
+    check_coupling_budget(params.N, params.p, workers)
     check_budget(config.replicas * _ROW_BYTES, f"{config.replicas} replicas at {_ROW_BYTES} B/row")
     target = None
     if mode.target is not None:
@@ -427,9 +423,6 @@ def _replica_rows(config: ExperimentConfig, mode: _Mode, threads: int) -> tuple:
                 f"mode {config.mode} needs a target normal of positive variance; "
                 f"beta={params.beta} gives {target[1]}"
             )
-    # the processes that fill rows: at most one per usable CPU, one for a short run
-    workers = min(threads, len(os.sched_getaffinity(0)))
-    workers = 1 if config.replicas < 2 * workers else workers
     a_exp = None
     if mode.statistic is None:
         check_pair_budget(params.N, params.p, workers)
@@ -457,7 +450,7 @@ def run_experiment(
     csv = mode.statistic is not None and config.format == "csv"
     paths = [path, f"{path}.report.json"] if csv else [path]
     for out in paths if path else ():
-        _check_output_path(out)
+        check_writable(out)
     rows, summary, identities, constants, supercritical, text = [], None, None, None, False, None
     if config.mode == "constants":
         constants = _constants_payload(params)

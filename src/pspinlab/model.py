@@ -18,8 +18,9 @@ enumeration engines coexist:
   be nonzero, so each block's transform runs on that Hamming ball alone,
   of radius p - popcount(block), grouped by radius so that no stage
   gathers (:class:`_BallPlan`); the skipped entries hold +0.0 and each
-  chunk keeps the dense transform's bits.
-  It is the one table builder: :func:`field_table` is its one-chunk case.
+  chunk keeps the dense transform's bits.  :func:`_chunk_plans` is the one
+  layout of a chunk's slots, and this the one table builder:
+  :func:`field_table` is its one-chunk case.
 
 :func:`partition_and_power_sums` is the one pass over the field table: it
 yields ln Z_N together with the sums of X^2, X^3, X^4 the quenched moments
@@ -67,10 +68,10 @@ ENUMERATION_BUDGET = 30
 # Largest table built in one piece: 2^24 doubles = 128 MiB.
 _DIRECT_TABLE_BITS = 24
 
-# Peak bytes per coupling of one enumeration pass besides its tables
-# (tracemalloc over the first two default chunks, 2^21-2^24 states, binom =
-# 1.4e5..2.5e6): 26-31 B for the scatter index, the coupling signs and the
-# scatter weights, 34-39 B with the mask table built inside.
+# Peak bytes per coupling of one enumeration pass besides one chunk-sized
+# array, the slot map and then each table (tracemalloc over the first two
+# default chunks of half tables, 2^19-2^24 states, binom = 1.3e5..2.5e6):
+# 30-51 B, 38-59 B with the mask table built inside; the most at (20, 8).
 _PASS_COUPLING_BYTES = 96
 
 # FWHT blocking: a block of 2^16 doubles (512 KiB) and its two ping-pong
@@ -240,58 +241,49 @@ def _ball_plan(bits: int, radius: int) -> _BallPlan:
 
 @lru_cache(maxsize=4)
 def _chunk_plans(bits: int, radius: int) -> tuple:
-    """The plan and first slot of each 2^16 block of a 2^bits chunk.
+    """The plan of each 2^16 block of a 2^bits chunk and the chunk's slot layout.
 
     Block b can be nonzero only at indices of popcount <= radius -
-    popcount(b); a block with no such index gets no plan and is all +0.0.
-    Returns the list of (plan or None, first slot) and the slot count.
+    popcount(b); a block with no such index gets no plan (None) and is all
+    +0.0.  ``positions`` (read-only) is the chunk index of each slot: every
+    plan's level-0 positions offset by its block, block after block.
     """
     block_bits = min(bits, _FWHT_BLOCK_BITS)
-    plans, start = [], 0
+    plans = []
     for b in range(1 << (bits - block_bits)):
         r = radius - b.bit_count()
-        plan = _ball_plan(block_bits, min(r, block_bits)) if r >= 0 else None
-        plans.append((plan, start))
-        start += plan.positions.size if plan else 0
-    return tuple(plans), start
+        plans.append(_ball_plan(block_bits, min(r, block_bits)) if r >= 0 else None)
+    positions = np.concatenate([plan.positions + (b << block_bits)
+                                for b, plan in enumerate(plans) if plan])
+    positions.flags.writeable = False
+    return tuple(plans), positions
 
 
 @lru_cache(maxsize=2)
 def _scatter_index(N: int, p: int, bits: int) -> np.ndarray:
-    """The slot of :func:`_chunk_plans` (bits, p) of each coupling mask, read-only."""
-    plans, _ = _chunk_plans(bits, p)
-    block_bits = min(bits, _FWHT_BLOCK_BITS)
-    radii = [min(p - b.bit_count(), block_bits) for b in range(len(plans))]
-    rows = sorted({r for r in radii if r >= 0})
-    # slot[row, i]: the level-0 slot of state i in the plan of radius rows[row]
-    slot = np.zeros((len(rows), 1 << block_bits), dtype=np.intp)
-    for row, r in enumerate(rows):
-        positions = _ball_plan(block_bits, r).positions
-        slot[row, positions] = np.arange(positions.size)
-    base = np.array([rows.index(r) << block_bits if r >= 0 else 0 for r in radii], dtype=np.intp)
-    starts = np.array([start for _, start in plans], dtype=np.intp)
-    low = (mask_table(N, p) & np.uint64((1 << bits) - 1)).astype(np.intp)
-    block = low >> block_bits
-    low &= (1 << block_bits) - 1
-    low += base[block]
-    index = np.take(slot, low)
-    index += starts[block]
+    """The slot of each coupling mask in the layout of :func:`_chunk_plans` (bits, p), read-only."""
+    positions = _chunk_plans(bits, p)[1]
+    slot = np.empty(1 << bits, np.intp)  # the inverse of positions, freed on return
+    slot[positions] = np.arange(positions.size)
+    index = slot[(mask_table(N, p) & np.uint64((1 << bits) - 1)).view(np.intp)]
     index.flags.writeable = False
     return index
 
 
-def _transform(slots: np.ndarray, plans: list, out: np.ndarray) -> np.ndarray:
+def _transform(slots: np.ndarray, plans: tuple, out: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform, natural ordering, of a scattered chunk into ``out``.
 
-    Each block runs its :class:`_BallPlan` on its slots.  The wide stages of
+    Each block runs its :class:`_BallPlan` on the next slots.  The wide stages of
     a chunk of several blocks then run in place over cache-sized column
     slices: the radix-2 stages h = 1, 2, ... < rows, in the dense loop's order.
     """
     block = 1 << _FWHT_BLOCK_BITS
     with _BLOCK_LOCK:
-        for dest, (plan, start) in zip(out.reshape(len(plans), -1), plans):
+        start = 0
+        for dest, plan in zip(out.reshape(len(plans), -1), plans):
             if plan:
                 plan.run(slots[start : start + plan.positions.size], dest)
+                start += plan.positions.size
             else:
                 dest.fill(0.0)
         if out.size > block:
@@ -313,10 +305,8 @@ def _transform(slots: np.ndarray, plans: list, out: np.ndarray) -> np.ndarray:
 def _fwht(a: np.ndarray) -> np.ndarray:
     """In-place Walsh-Hadamard transform of a dense table: every entry live."""
     bits = a.size.bit_length() - 1
-    plans, _ = _chunk_plans(bits, bits)
-    blocks = a.reshape(len(plans), -1)
-    slots = np.concatenate([blk[plan.positions] for blk, (plan, _) in zip(blocks, plans)])
-    return _transform(slots, plans, a)
+    plans, positions = _chunk_plans(bits, bits)
+    return _transform(a[positions], plans, a)
 
 
 def field_table(disorder: Disorder, half: bool = False) -> np.ndarray:
@@ -334,11 +324,11 @@ def field_chunks(disorder: Disorder, half: bool = False, chunk_bits: int | None 
 
     The high state bits are fixed per chunk and fold into the coupling
     signs, so only the low-bit subcube is transformed.  Its couplings are
-    scattered by ``np.bincount`` into the level-0 slots of each 2^16
-    block's :class:`_BallPlan` (697 at p = 3, not 2^16), and each block is
-    transformed over the entries its couplings can reach: block b of a
-    chunk runs the plan of radius p - popcount(b), and the wide stages
-    join the blocks.  By default a chunk has 2^19 states, or the whole
+    scattered by ``np.bincount`` into the slots of :func:`_chunk_plans`: the
+    level-0 positions of each 2^16 block's :class:`_BallPlan` (697 at p = 3,
+    not 2^16), block after block.  Block b runs the plan of radius
+    p - popcount(b) over the entries its couplings can reach, and the wide
+    stages join the blocks.  By default a chunk has 2^19 states, or the whole
     table if smaller, widened (up to the in-memory table size, the largest
     chunk allowed) to at least 8 entries per coupling so that the
     O(binom(N,p)) scatter of each chunk stays small next to its transform.
@@ -354,12 +344,12 @@ def field_chunks(disorder: Disorder, half: bool = False, chunk_bits: int | None 
     chunk_bits = min(chunk_bits, n_bits)
     if chunk_bits > _DIRECT_TABLE_BITS:
         raise ResourceLimitError(f"a 2^{chunk_bits}-state table exceeds the in-memory limit")
-    plans, n_slots = _chunk_plans(chunk_bits, params.p)
+    plans, positions = _chunk_plans(chunk_bits, params.p)
     index = _scatter_index(params.N, params.p, chunk_bits)
     high = mask_table(params.N, params.p) >> np.uint64(chunk_bits)
     for high_state in range(1 << (n_bits - chunk_bits)):
         values = disorder.couplings * _signs(high, high_state) if high_state else disorder.couplings
-        slots = np.bincount(index, weights=values, minlength=n_slots)
+        slots = np.bincount(index, weights=values, minlength=positions.size)
         table = _transform(slots, plans, np.empty(1 << chunk_bits))
         table /= math.sqrt(params.n_couplings)
         yield table
@@ -450,13 +440,13 @@ def _check_bits(bits: int, N: int) -> None:
         )
 
 
-def check_enumeration_budget(params: ModelParams) -> None:
-    """Refuse an enumeration beyond 2^30 states or the byte budget of its couplings."""
+def check_enumeration_budget(params: ModelParams, workers: int = 1) -> None:
+    """Refuse an enumeration beyond 2^30 states or the byte budget of a pass in each worker."""
     if params.N > ENUMERATION_BUDGET:
         raise ResourceLimitError(
             f"N={params.N} exceeds the enumeration budget N <= {ENUMERATION_BUDGET} "
             f"(cost ~ 2^N states)"
         )
-    check_budget(params.n_couplings * _PASS_COUPLING_BYTES,
+    check_budget(workers * params.n_couplings * _PASS_COUPLING_BYTES,
                  f"enumeration budget: binom({params.N},{params.p}) = {params.n_couplings} "
-                 f"couplings at {_PASS_COUPLING_BYTES} B/coupling")
+                 f"couplings at {_PASS_COUPLING_BYTES} B/coupling in {workers} process(es)")

@@ -163,8 +163,8 @@ def pair_sums(disorder: Disorder) -> tuple:
     non-distinct ones, (C, D) = (A, B) or (B, A), each sum to j2^2 - j4
     (j_k = sum J_A^k): h4 = a_N^4/24 (sum_{v != 0} T(v)^2 - 2 (j2^2 - j4)).
     T has 2^N entries indexed by v.  Only pairs of rank A < B are added, in
-    the plan's row blocks, and T = 2 T_half exactly; np.add.at adds in index
-    order, so an entry sums row-major.  The T(v)^2 sum takes nonzero v only.
+    the plan's row blocks, to T_half = T / 2; np.add.at adds in index order,
+    so an entry sums row-major.  The T(v)^2 sum takes nonzero v only.
     """
     params = disorder.params
     blocks, masks = pair_plan(params.N, params.p)
@@ -177,13 +177,14 @@ def pair_sums(disorder: Disorder) -> tuple:
         np.einsum("i,j->ij", couplings[start : start + len(rows)], couplings[start:], out=rows)
         np.add.at(table, block_v, rows.ravel())
     del scratch, rows  # before the nonzero gather below
-    table *= 2.0
+    # T = 2 T_half enters as exact factors, 2 on h3 and 4 on the sum of T^2:
+    # powers of two do not change rounding, and no pass over the table is made
     # einsum, not np.dot: a long BLAS dot splits its sum by thread count
-    h3 = float(np.einsum("i,i->", couplings, table[masks]))
+    h3 = 2.0 * float(np.einsum("i,i->", couplings, table[masks]))
     j2 = float(np.einsum("i,i->", couplings, couplings))
     j4 = float(np.sum(couplings**4))
     t = table[1:][table[1:] != 0.0]
-    quad_sum = float(np.einsum("i,i->", t, t)) - 2.0 * (j2 * j2 - j4)
+    quad_sum = 4.0 * float(np.einsum("i,i->", t, t)) - 2.0 * (j2 * j2 - j4)
     return params.a_n**3 * h3, params.a_n**4 / 24.0 * quad_sum
 
 

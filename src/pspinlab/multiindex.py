@@ -221,11 +221,12 @@ def mask_table(N: int, p: int) -> np.ndarray:
     return _mask_table_cached(N, p)
 
 
-def check_coupling_budget(N: int, p: int) -> None:
-    """Refuse an (N, p) whose binom(N, p) couplings would not fit the byte budget."""
+def check_coupling_budget(N: int, p: int, workers: int = 1) -> None:
+    """Refuse an (N, p) whose binom(N, p) couplings, one vector per worker, exceed the byte budget."""
     n = math.comb(N, p)
-    check_budget(n * _COUPLING_BYTES,
-                 f"binom({N},{p}) = {n} couplings at {_COUPLING_BYTES} B/coupling")
+    check_budget(workers * n * _COUPLING_BYTES,
+                 f"binom({N},{p}) = {n} couplings at {_COUPLING_BYTES} B/coupling "
+                 f"in {workers} process(es)")
 
 
 @lru_cache(maxsize=2)  # the run path uses one (N, p) per process
@@ -315,8 +316,9 @@ def load_disorder(path) -> Disorder:
             raise DataError(f"header is {5 + len(header)} bytes, expected 29")
         N, p, seed = struct.unpack("<QQQ", header)
         params = ModelParams(N=int(N), p=int(p))
-        data = fh.read()
-    expected = params.n_couplings * 8
+        check_coupling_budget(params.N, params.p)
+        expected = params.n_couplings * 8
+        data = fh.read(expected + 1)  # the byte past the payload shows trailing data
     if len(data) != expected:
         raise DataError(f"payload is {len(data)} bytes, expected {expected}")
     couplings = np.frombuffer(data, dtype="<f8").astype(np.float64)

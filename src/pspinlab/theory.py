@@ -223,7 +223,9 @@ def beta_p(p: int) -> float:
     t_min, excess = _bounded_brent(lambda t: _excess_objective(math.exp(t), p), lo, hi, _BRENT_TOL)
     if not (lo <= t_min <= hi):
         raise NumericalError(f"failed to bracket the minimum of g for p={p}")
-    excess = min(excess, _excess_objective(math.exp(t_grid[i]), p))
+    # clamped at 0: the excess is < 0 for every 0 < u < 2^-p, so its infimum is
+    # never positive, but from p = 61 on the minimizer ~2^-p/e is below _LAYER_LO
+    excess = min(excess, _excess_objective(math.exp(t_grid[i]), p), 0.0)
     return math.sqrt(2.0 * _LN2 + excess)
 
 

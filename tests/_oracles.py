@@ -198,7 +198,7 @@ def beta_p_scalar_scan(p, tol=1e-10):
         lambda t: _excess_objective(math.exp(t), p), bounds=(lo, hi),
         method="bounded", options={"xatol": tol},
     )
-    return math.sqrt(2.0 * math.log(2.0) + min(float(res.fun), float(values[i])))
+    return math.sqrt(2.0 * math.log(2.0) + min(float(res.fun), float(values[i]), 0.0))
 
 
 def brute_signed_sums_loop(N, p):

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -247,6 +249,30 @@ def test_unwritable_out_refused_before_any_replica(capsys, tmp_path, monkeypatch
             assert code == 1 and stdout == ""
             assert err.startswith(f"error: cannot write {out!r}:") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_out_fifo_refused_and_symlink_written_through(capsys, tmp_path, monkeypatch):
+    # a rename over --out would replace a FIFO (or a device node) with a
+    # regular file, and a symlink with a file beside its untouched target
+    argv = ["run", "--mode", "jterm_clt", "--n", "8", "--p", "3", "--beta", "0.3",
+            "--replicas", "4", "--out"]
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    os.symlink(target, link)
+    code, stdout, err = run_cli(capsys, *argv, str(link))
+    assert code == 0 and err == ""
+    assert os.path.islink(link) and target.read_text().startswith(harness.CSV_HEADER)
+
+    def no_replica(*args):
+        raise AssertionError("a replica ran before the output path check")
+
+    monkeypatch.setattr(harness, "sample_disorder", no_replica)
+    fifo = str(tmp_path / "fifo")
+    os.mkfifo(fifo)
+    code, stdout, err = run_cli(capsys, *argv, fifo)
+    assert code == 1 and stdout == ""
+    assert err.startswith(f"error: cannot write {fifo!r}:") and err.count("\n") == 1
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
 def test_unwritable_report_sidecar_refused_before_any_replica(capsys, tmp_path, monkeypatch):

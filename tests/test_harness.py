@@ -336,6 +336,30 @@ def test_identities_pair_budget_counts_one_table_per_worker(monkeypatch, capsys)
     assert err.startswith("error: pair plan") and err.count("\n") == 1
 
 
+def test_coupling_and_pass_budgets_count_one_process_per_worker(monkeypatch, capsys):
+    # each forked worker draws its own couplings and runs its own pass:
+    # 1.69 GiB of couplings at (45, 7), 1.28 GiB of pass at (30, 9), per worker
+    class Sampled(Exception):
+        pass
+
+    def no_replica(*args):
+        raise Sampled
+
+    monkeypatch.setattr(harness, "sample_disorder", no_replica)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+    check_coupling_budget(45, 7)
+    check_enumeration_budget(ModelParams(N=30, p=9))
+    for mode, n, p, what in (("jterm_clt", "45", "7", "couplings"),
+                             ("theorem1", "30", "9", "enumeration budget")):
+        argv = ["run", "--mode", mode, "--n", n, "--p", p, "--beta", "0.3", "--replicas", "4"]
+        code = main(argv + ["--threads", "2"])
+        err = capsys.readouterr().err
+        assert code == 2 and what in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        with pytest.raises(Sampled):
+            main(argv + ["--threads", "1"])
+
+
 def test_identities_pair_plan_built_in_parent():
     # forked workers share the parent's plan instead of each building one
     momentlab.pair_plan.cache_clear()

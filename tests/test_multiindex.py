@@ -1,5 +1,7 @@
 import math
 import os
+import stat
+import struct
 import tracemalloc
 
 import numpy as np
@@ -12,6 +14,7 @@ from pspinlab import (
     Disorder,
     InvalidParametersError,
     ModelParams,
+    ResourceLimitError,
     coupling_entry,
     derive_seed,
     enumerate_multi_indices,
@@ -224,8 +227,38 @@ def test_disorder_file_rejects_garbage(tmp_path):
         load_disorder(str(path))
 
 
+def test_disorder_file_header_budget_before_payload(tmp_path):
+    # a header claiming binom(64, 32) couplings is refused before its payload
+    # is read; one byte past a good payload is still trailing data
+    path = tmp_path / "huge.pspn"
+    path.write_bytes(b"PSPN1" + struct.pack("<QQQ", 64, 32, 0))
+    with pytest.raises(ResourceLimitError, match="couplings"):
+        load_disorder(str(path))
+    save_disorder(sample_disorder(ModelParams(N=8, p=3), 1), str(path))
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(DataError):
+        load_disorder(str(path))
+
+
+def test_disorder_file_written_through_symlink_not_over_fifo(tmp_path):
+    # a rename would replace the FIFO with a file and the link with a copy
+    d = sample_disorder(ModelParams(N=8, p=3), 1)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    with pytest.raises(OSError, match="not a regular file"):
+        save_disorder(d, str(fifo))
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    target, link = tmp_path / "target.pspn", tmp_path / "link.pspn"
+    target.write_bytes(b"old")
+    os.symlink(target, link)
+    save_disorder(d, str(link))
+    assert os.path.islink(link)
+    assert np.array_equal(load_disorder(str(target)).couplings, d.couplings)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["fifo", "link.pspn", "target.pspn"]
+
+
 def test_disorder_file_failed_rename_leaves_no_temp(tmp_path):
-    # the target is a directory, so the rename fails after the write
+    # the target is a directory, so the write is refused before any temp file
     d = sample_disorder(ModelParams(N=8, p=3), 1)
     target = tmp_path / "out.pspn"
     target.mkdir()

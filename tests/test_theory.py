@@ -75,6 +75,14 @@ def test_beta_p_monotone_bounded():
     assert abs(beta_p(50) - REM_BETA) < 1e-3
 
 
+def test_beta_p_never_above_rem_limit():
+    # from p = 61 on the minimizer ~2^-p/e lies below the scan's 1e-16 floor;
+    # the infimum is still never above 2 ln 2, so beta_p never passes REM_BETA
+    values = [beta_p(p) for p in range(3, 201)]
+    assert all(v <= REM_BETA for v in values)
+    assert all(a <= b for a, b in zip(values, values[1:]))
+
+
 def test_clt_variance_examples():
     assert clt_variance(0.0, 3) == 0.0
     assert clt_variance(1.0, 3) == 3.0
