@@ -2,10 +2,12 @@
 
 Each replica owns a seed derived by a 64-bit mixing hash of
 (base_seed, replica_index), so the sample stream is independent of
-execution order and thread count.  Workers (at most one per usable CPU)
-process contiguous index chunks; results are merged back in index order,
+execution order and thread count.  On several workers (at most one per
+usable CPU) the parent forks the others and is a worker itself: each claims
+contiguous index chunks in turn from one shared queue, the children send
+their rows back through pipes, and the parent merges them in index order,
 which makes CSV output and report statistics byte-reproducible for a
-fixed config.
+fixed config.  A child that dies or raises fails the run.
 
 What a mode does is one row of a mode table: the statistic a replica
 row contributes to the summary and the normal it is tested against,
@@ -34,19 +36,19 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import kolmogorov, ndtr
 
 from .covariance import expansion_approx, exact_covariance, hermite, overlap_grid
-from .errors import (InvalidParametersError, NumericalError, check_budget, check_writable,
-                     write_atomic)
+from .errors import (InvalidParametersError, NumericalError, PspinError, check_budget,
+                     check_writable, write_atomic)
 from .model import check_enumeration_budget, j_term
 from .momentlab import (
     BRUTE_PAIR_N,
@@ -125,10 +127,11 @@ _IDENTITY_TOLERANCES = {
     "pair_moment_paths": 0.0,
 }
 
-# A run keeps every row until it is summarized.  Peak bytes per replica
-# (tracemalloc, 2,000-4,000 replicas): 347 B jterm_clt, 388 B theorem1 and
-# theorem2, 587 B identities; 768 B leaves a margin over the largest.
-_ROW_BYTES = 768
+# A run keeps every row until it is summarized.  Peak bytes per row (tracemalloc,
+# 4,000 replicas on 2 workers), parent / child holding its rows and their pickler:
+# jterm_clt 434 / 620 B, theorem1 and theorem2 574 / 741 B, identities 847 / 982 B
+# (one worker: 322, 418, 617 B); 1,280 B leaves a margin over the largest.
+_ROW_BYTES = 1280
 
 
 @dataclass(frozen=True)
@@ -253,16 +256,8 @@ def summarize(
     steps_lo = np.arange(0, n) / n
     ks_distance = float(max((steps_hi - cdf).max(), (cdf - steps_lo).max()))
     ks_pvalue = float(kolmogorov(math.sqrt(n) * ks_distance))
-    return SummaryStats(
-        n_samples=n,
-        mean=mean,
-        variance=variance,
-        skewness=skewness,
-        ks_distance=ks_distance,
-        ks_pvalue=ks_pvalue,
-        target_mean=target_mean,
-        target_variance=target_variance,
-    )
+    return SummaryStats(n, mean, variance, skewness, ks_distance, ks_pvalue, target_mean,
+                        target_variance)
 
 
 def _resolve_threads(threads: Optional[int]) -> int:
@@ -294,10 +289,7 @@ def _row(config: ExperimentConfig, a_exp: Optional[float], idx: int) -> tuple:
     if mode.statistic is not None:
         return sample, None
     scale3 = max(abs(moments.m3), moments.m2**1.5)
-    a4 = params.a_n**4
-    scale4 = (
-        moments.m2**2 / 8.0 + abs(moments.m4) / 24.0 + a4 / 12.0 * moments.j4_sum
-    )
+    scale4 = moments.m2**2 / 8.0 + abs(moments.m4) / 24.0 + params.a_n**4 / 12.0 * moments.j4_sum
     gap_rhs = half_p * (j_n - beta * beta / 2.0)
     h3, h4 = pair_sums(disorder)
     residuals = {
@@ -318,17 +310,73 @@ def _csv_lines(samples: list):
         yield ",".join([str(index)] + ["" if v is None else repr(float(v)) for v in values]) + "\n"
 
 
+def _child(fill: Callable[[], dict], out: int):
+    """A forked worker: send ``fill()``, or what it raised, through ``out``; never returns."""
+    try:
+        try:
+            result = fill()
+        except BaseException as exc:
+            result = exc
+            try:
+                pickle.loads(pickle.dumps(exc))  # the parent must be able to load it
+            except Exception:
+                result = PspinError(f"a replica worker raised {exc!r}")
+        with open(out, "wb") as fh:
+            pickle.dump(result, fh)  # in frames: the whole payload is never held here
+        os._exit(0)
+    finally:
+        os._exit(1)  # only if the payload was not sent
+
+
 def _iter_rows(config: ExperimentConfig, a_exp: Optional[float], workers: int):
     m = config.replicas
     if workers == 1:
         for idx in range(m):
             yield _row(config, a_exp, idx)
         return
-    # about four contiguous chunks per worker, merged back in index order
-    chunk = -(-m // (4 * workers))
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=workers) as pool:
-        yield from pool.imap(partial(_row, config, a_exp), range(m), chunksize=chunk)
+    # about four contiguous chunks per worker, claimed in turn from one queue: a pipe
+    # preloaded with the chunk numbers, 4 B each (a 64 KiB pipe holds 4,096 workers')
+    size = -(-m // (4 * workers))
+    queue, feed = os.pipe()
+    os.write(feed, b"".join(c.to_bytes(4, "little") for c in range(-(-m // size))))
+    os.close(feed)
+
+    def claim() -> dict:  # {chunk: its rows} for each chunk claimed until the queue is empty
+        chunks = {}
+        while token := os.read(queue, 4):
+            c = int.from_bytes(token, "little")
+            chunks[c] = [_row(config, a_exp, i) for i in range(c * size, min(c * size + size, m))]
+        return chunks
+
+    children = {}  # pid -> the read end of its pipe
+    try:
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            if not (pid := os.fork()):
+                _child(claim, w)
+            os.close(w)
+            children[pid] = open(r, "rb")
+        chunks = claim()  # the parent is a worker too
+        for pid in list(children):
+            with children[pid] as fh:
+                payload = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code:
+                how = f"signal {-code} ({signal.strsignal(-code)})" if code < 0 else f"exit status {code}"
+                raise PspinError(f"replica worker {pid} ended by {how} before sending its rows")
+            result = pickle.loads(payload)
+            if isinstance(result, BaseException):
+                raise result
+            chunks.update(result)
+    finally:
+        os.close(queue)
+        for pid, fh in children.items():  # after a failure: kill and reap the rest
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for c in range(len(chunks)):  # merged back in index order
+        yield from chunks.pop(c)
 
 
 def finite_json(doc: dict) -> str:
@@ -354,19 +402,10 @@ def _constants_payload(params: ModelParams) -> dict:
 def tabulate_covariance(N: int, p: int) -> list:
     """Rows (m, exact f, series approximation, Hermite limit profile)."""
     he = hermite(p)
-    rows = []
     scale = N ** (p / 2.0)
-    for m in overlap_grid(N).values:
-        k_disagree = round(N * (1.0 - m) / 2.0)
-        rows.append(
-            (
-                float(m),
-                exact_covariance(N, p, k_disagree),
-                expansion_approx(N, p, float(m)),
-                he(math.sqrt(N) * float(m)) / scale,
-            )
-        )
-    return rows
+    return [(float(m), exact_covariance(N, p, round(N * (1.0 - m) / 2.0)),
+             expansion_approx(N, p, float(m)), he(math.sqrt(N) * float(m)) / scale)
+            for m in overlap_grid(N).values]
 
 
 def tabulate_text(N: int, p: int) -> str:
@@ -426,7 +465,7 @@ def _replica_rows(config: ExperimentConfig, mode: _Mode, threads: int) -> tuple:
     a_exp = None
     if mode.statistic is None:
         check_pair_budget(params.N, params.p, workers)
-        # built here, before any pool forks, so workers share it copy-on-write
+        # built here, before the parent forks, so workers share it copy-on-write
         pair_plan(params.N, params.p)
     elif mode.enumerates and params.p >= 3:
         a_exp = limit_constants(params.beta, params.p).a_exponent

@@ -18,8 +18,8 @@ enumeration engines coexist:
   be nonzero, so each block's transform runs on that Hamming ball alone,
   of radius p - popcount(block), grouped by radius so that no stage
   gathers (:class:`_BallPlan`); the skipped entries hold +0.0 and each
-  chunk keeps the dense transform's bits.  :func:`_chunk_plans` is the one
-  layout of a chunk's slots, and this the one table builder:
+  chunk keeps the dense transform's bits.  :func:`_chunk_positions` is the
+  one layout of a chunk's slots, and this the one table builder:
   :func:`field_table` is its one-chunk case.
 
 :func:`partition_and_power_sums` is the one pass over the field table: it
@@ -241,28 +241,36 @@ def _ball_plan(bits: int, radius: int) -> _BallPlan:
 
 @lru_cache(maxsize=4)
 def _chunk_plans(bits: int, radius: int) -> tuple:
-    """The plan of each 2^16 block of a 2^bits chunk and the chunk's slot layout.
+    """The plan of each 2^16 block of a 2^bits chunk and the chunk's slot count.
 
     Block b can be nonzero only at indices of popcount <= radius -
     popcount(b); a block with no such index gets no plan (None) and is all
-    +0.0.  ``positions`` (read-only) is the chunk index of each slot: every
-    plan's level-0 positions offset by its block, block after block.
+    +0.0.  The chunk's slots are every plan's level-0 slots, block after
+    block, laid out by :func:`_chunk_positions`.
     """
     block_bits = min(bits, _FWHT_BLOCK_BITS)
     plans = []
     for b in range(1 << (bits - block_bits)):
         r = radius - b.bit_count()
         plans.append(_ball_plan(block_bits, min(r, block_bits)) if r >= 0 else None)
-    positions = np.concatenate([plan.positions + (b << block_bits)
-                                for b, plan in enumerate(plans) if plan])
-    positions.flags.writeable = False
-    return tuple(plans), positions
+    return tuple(plans), sum(plan.slots.size for plan in plans if plan)
+
+
+def _chunk_positions(bits: int, radius: int) -> np.ndarray:
+    """The chunk index of each slot of :func:`_chunk_plans` (bits, radius).
+
+    Every plan's level-0 positions offset by its block, block after block.
+    One intp per live state, so it is built where it is read and not kept.
+    """
+    block_bits = min(bits, _FWHT_BLOCK_BITS)
+    return np.concatenate([plan.positions + (b << block_bits)
+                           for b, plan in enumerate(_chunk_plans(bits, radius)[0]) if plan])
 
 
 @lru_cache(maxsize=2)
 def _scatter_index(N: int, p: int, bits: int) -> np.ndarray:
     """The slot of each coupling mask in the layout of :func:`_chunk_plans` (bits, p), read-only."""
-    positions = _chunk_plans(bits, p)[1]
+    positions = _chunk_positions(bits, p)
     slot = np.empty(1 << bits, np.intp)  # the inverse of positions, freed on return
     slot[positions] = np.arange(positions.size)
     index = slot[(mask_table(N, p) & np.uint64((1 << bits) - 1)).view(np.intp)]
@@ -282,8 +290,8 @@ def _transform(slots: np.ndarray, plans: tuple, out: np.ndarray) -> np.ndarray:
         start = 0
         for dest, plan in zip(out.reshape(len(plans), -1), plans):
             if plan:
-                plan.run(slots[start : start + plan.positions.size], dest)
-                start += plan.positions.size
+                plan.run(slots[start : start + plan.slots.size], dest)
+                start += plan.slots.size
             else:
                 dest.fill(0.0)
         if out.size > block:
@@ -305,8 +313,7 @@ def _transform(slots: np.ndarray, plans: tuple, out: np.ndarray) -> np.ndarray:
 def _fwht(a: np.ndarray) -> np.ndarray:
     """In-place Walsh-Hadamard transform of a dense table: every entry live."""
     bits = a.size.bit_length() - 1
-    plans, positions = _chunk_plans(bits, bits)
-    return _transform(a[positions], plans, a)
+    return _transform(a[_chunk_positions(bits, bits)], _chunk_plans(bits, bits)[0], a)
 
 
 def field_table(disorder: Disorder, half: bool = False) -> np.ndarray:
@@ -344,12 +351,12 @@ def field_chunks(disorder: Disorder, half: bool = False, chunk_bits: int | None 
     chunk_bits = min(chunk_bits, n_bits)
     if chunk_bits > _DIRECT_TABLE_BITS:
         raise ResourceLimitError(f"a 2^{chunk_bits}-state table exceeds the in-memory limit")
-    plans, positions = _chunk_plans(chunk_bits, params.p)
+    plans, n_slots = _chunk_plans(chunk_bits, params.p)
     index = _scatter_index(params.N, params.p, chunk_bits)
     high = mask_table(params.N, params.p) >> np.uint64(chunk_bits)
     for high_state in range(1 << (n_bits - chunk_bits)):
         values = disorder.couplings * _signs(high, high_state) if high_state else disorder.couplings
-        slots = np.bincount(index, weights=values, minlength=positions.size)
+        slots = np.bincount(index, weights=values, minlength=n_slots)
         table = _transform(slots, plans, np.empty(1 << chunk_bits))
         table /= math.sqrt(params.n_couplings)
         yield table

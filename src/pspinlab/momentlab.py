@@ -73,7 +73,7 @@ __all__ = [
 # Building the pair plan peaks at 4.05-4.22 B per coupling pair, what it keeps
 # (tracemalloc, n = 462..3060, p = 3..6: the upper-triangle differences as intp);
 # a call adds 8 B per table entry, 2^N of them, and one row block.  The harness
-# builds the plan before its pool forks, so workers share it.
+# builds the plan before it forks, so workers share it.
 _PLAN_BYTES_PER_PAIR = 8
 _PAIR_BLOCK_ENTRIES = 2**13   # pair-table row block = this // n rows: a 64 KiB scratch
 _QUAD_BUDGET = 2 * 10**6      # binom^3 cap for the literal quadruple loop

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from numpy.random import Philox
 
 from pspinlab import (
     CSV_HEADER,
+    DataError,
     ExperimentConfig,
     InvalidParametersError,
     ModelParams,
@@ -368,30 +370,113 @@ def test_identities_pair_plan_built_in_parent():
     momentlab.pair_plan.cache_clear()
 
 
+def count_forks(monkeypatch) -> list:
+    """The pids the parent forks from now on: a wrapper around harness.os.fork."""
+    fork, forked = os.fork, []
+
+    def counting_fork():
+        pid = fork()
+        if pid:  # in the parent only
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(harness.os, "fork", counting_fork)
+    return forked
+
+
 def test_pool_capped_at_usable_cpus(monkeypatch):
-    class SerialPool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    class FakeContext:
-        Pool = SerialPool
-
-    started = []
-    monkeypatch.setattr(harness.multiprocessing, "get_context", lambda method: FakeContext())
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     serial = run_experiment(config(9, 3, 0.4, "theorem1", 40, seed=3), threads=1)
+    forked = count_forks(monkeypatch)
     capped = run_experiment(config(9, 3, 0.4, "theorem1", 40, seed=3), threads=10**6)
-    assert started == [3]
+    assert len(forked) == 2  # and the parent: three workers
     assert capped.samples == serial.samples and capped.summary == serial.summary
+
+
+def test_short_run_forks_nothing_and_no_run_leaves_a_child(monkeypatch):
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+    forked = count_forks(monkeypatch)
+    run_experiment(config(9, 3, 0.4, "theorem1", 3, seed=3), threads=2)
+    assert forked == []  # 3 replicas < 2 per worker: one worker, the parent
+    for mode, replicas in (("theorem1", 3), ("theorem1", 12), ("jterm_clt", 40),
+                           ("identities", 8)):
+        run_experiment(config(9, 3, 0.4, mode, replicas, seed=3), threads=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert len(forked) == 3
+
+
+def test_more_workers_than_cores_claim_every_chunk_once(monkeypatch):
+    # eight workers on this machine's cores: a chunk lost or claimed twice
+    # would change the merged samples
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)))
+    serial = run_experiment(config(7, 3, 0.4, "theorem1", 205, seed=8), threads=1)
+    forked = count_forks(monkeypatch)
+    parallel = run_experiment(config(7, 3, 0.4, "theorem1", 205, seed=8), threads=8)
+    assert len(forked) == 7
+    assert parallel.samples == serial.samples and parallel.summary == serial.summary
+
+
+def test_child_exception_keeps_type_and_message(monkeypatch, capsys, tmp_path):
+    # serially replica 7 raises; on two workers the child raises at its first
+    # replica and the slow parent leaves it chunks to claim.  ``threads`` and
+    # ``raised`` are the loop variables below
+    parent, row = os.getpid(), harness._row
+
+    class Unpicklable(Exception):  # a local class: pickle cannot find it by name
+        pass
+
+    def failing_row(cfg, a_exp, idx):
+        if os.getpid() != parent or (threads == 1 and idx == 7):
+            raise raised
+        if threads == 2:
+            time.sleep(0.1)
+        return row(cfg, a_exp, idx)
+
+    monkeypatch.setattr(harness, "_row", failing_row)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+    out = tmp_path / "run.csv"
+    argv = ["run", "--mode", "theorem1", "--n", "9", "--p", "3", "--beta", "0.4",
+            "--replicas", "12", "--out", str(out)]
+    for raised, want in ((DataError("corrupt replica"), "error: corrupt replica\n"),
+                         (Unpicklable("no pickle"), "error: a replica worker raised "
+                                                    "Unpicklable('no pickle')\n")):
+        results = []
+        for threads in (1, 2):
+            if threads == 1 and isinstance(raised, Unpicklable):
+                continue  # the serial run lets it through unchanged
+            results.append((main(argv + ["--threads", str(threads)]), capsys.readouterr().err))
+            assert not list(tmp_path.iterdir())
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert results == [(1, want)] * len(results)
+
+
+def test_killed_worker_fails_the_run_instead_of_hanging(tmp_path):
+    # every replica a child runs kills it; the slow parent leaves it chunks to claim
+    code = (
+        "import os, signal, sys, time\n"
+        "from pspinlab import harness\n"
+        "from pspinlab.cli import main\n"
+        "parent, row = os.getpid(), harness._row\n"
+        "def dying_row(cfg, a_exp, idx):\n"
+        "    if os.getpid() != parent:\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    time.sleep(0.1)\n"
+        "    return row(cfg, a_exp, idx)\n"
+        "harness._row = dying_row\n"
+        "harness.os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    out = tmp_path / "run.csv"
+    argv = ["run", "--mode", "theorem1", "--n", "10", "--p", "3", "--beta", "0.4",
+            "--replicas", "12", "--threads", "2", "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          timeout=20)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: replica worker ") and proc.stderr.count("\n") == 1
+    assert "signal 9" in proc.stderr
+    assert not list(tmp_path.iterdir())
 
 
 def test_identities_mode_report():
