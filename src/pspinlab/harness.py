@@ -2,12 +2,13 @@
 
 Each replica owns a seed derived by a 64-bit mixing hash of
 (base_seed, replica_index), so the sample stream is independent of
-execution order and thread count.  On several workers (at most one per
-usable CPU) the parent forks the others and is a worker itself: each claims
-contiguous index chunks in turn from one shared queue, the children send
-their rows back through pipes, and the parent merges them in index order,
-which makes CSV output and report statistics byte-reproducible for a
-fixed config.  A child that dies or raises fails the run.
+execution order and thread count.  Every run has one replica loop: its k
+workers (at most one per usable CPU) are the parent and k - 1 children it
+forks, none when k = 1.  Each claims contiguous index chunks in turn from
+one shared queue, the children send their rows back through pipes, and the
+parent merges them in index order, which makes CSV output and report
+statistics byte-reproducible for a fixed config.  A child that dies or
+raises fails the run.
 
 What a mode does is one row of a mode table: the statistic a replica
 row contributes to the summary and the normal it is tested against,
@@ -60,7 +61,7 @@ from .momentlab import (
 )
 from .multiindex import (ModelParams, check_coupling_budget, check_seed, derive_seed,
                          sample_disorder)
-from .theory import beta_p, clt_variance, limit_constants
+from .theory import a_exponent, beta_p, clt_variance, limit_constants
 
 __all__ = [
     "ExperimentConfig",
@@ -130,7 +131,7 @@ _IDENTITY_TOLERANCES = {
 # A run keeps every row until it is summarized.  Peak bytes per row (tracemalloc,
 # 4,000 replicas on 2 workers), parent / child holding its rows and their pickler:
 # jterm_clt 434 / 620 B, theorem1 and theorem2 574 / 741 B, identities 847 / 982 B
-# (one worker: 322, 418, 617 B); 1,280 B leaves a margin over the largest.
+# (one worker, N = 8: 346, 419, 618 B); 1,280 B leaves a margin over the largest.
 _ROW_BYTES = 1280
 
 
@@ -149,8 +150,8 @@ class ExperimentConfig:
             raise InvalidParametersError(
                 f"mode {self.mode!r} not one of {sorted(MODES)}"
             )
-        if self.replicas < 1:
-            raise InvalidParametersError(f"replicas={self.replicas} must be >= 1")
+        if not isinstance(self.replicas, int) or self.replicas < 1:
+            raise InvalidParametersError(f"replicas={self.replicas!r} must be an integer >= 1")
         check_seed(self.base_seed)
         mode = _MODE_TABLE[self.mode]
         if mode.statistic is not None and self.replicas < 2:
@@ -271,7 +272,7 @@ def _resolve_threads(threads: Optional[int]) -> int:
     return threads
 
 
-def _row(config: ExperimentConfig, a_exp: Optional[float], idx: int) -> tuple:
+def _row(config: ExperimentConfig, idx: int) -> tuple:
     """Replica idx: (its FluctuationSample, identity residuals or None)."""
     params = config.params
     beta = params.beta
@@ -284,10 +285,9 @@ def _row(config: ExperimentConfig, a_exp: Optional[float], idx: int) -> tuple:
     half_p = params.N ** (params.p / 2.0)
     t1 = half_p * (f_n - beta * beta / 2.0)
     gap = half_p * (f_n - j_n)
-    t2 = None if a_exp is None else params.N**a_exp * (f_n - j_n)
-    sample = FluctuationSample(idx, f_n, j_n, moments.t_value, t1, gap, t2)
     if mode.statistic is not None:
-        return sample, None
+        t2 = params.N ** a_exponent(params.p) * (f_n - j_n) if params.p >= 3 else None
+        return FluctuationSample(idx, f_n, j_n, moments.t_value, t1, gap, t2), None
     scale3 = max(abs(moments.m3), moments.m2**1.5)
     scale4 = moments.m2**2 / 8.0 + abs(moments.m4) / 24.0 + params.a_n**4 / 12.0 * moments.j4_sum
     gap_rhs = half_p * (j_n - beta * beta / 2.0)
@@ -299,7 +299,7 @@ def _row(config: ExperimentConfig, a_exp: Optional[float], idx: int) -> tuple:
     }
     if params.p % 2:
         residuals["m3_odd_zero"] = abs(moments.m3) / moments.m2**1.5
-    return sample, residuals
+    return FluctuationSample(idx, f_n, j_n, moments.t_value, t1, gap, None), residuals
 
 
 def _csv_lines(samples: list):
@@ -328,12 +328,8 @@ def _child(fill: Callable[[], dict], out: int):
         os._exit(1)  # only if the payload was not sent
 
 
-def _iter_rows(config: ExperimentConfig, a_exp: Optional[float], workers: int):
+def _iter_rows(config: ExperimentConfig, workers: int):
     m = config.replicas
-    if workers == 1:
-        for idx in range(m):
-            yield _row(config, a_exp, idx)
-        return
     # about four contiguous chunks per worker, claimed in turn from one queue: a pipe
     # preloaded with the chunk numbers, 4 B each (a 64 KiB pipe holds 4,096 workers')
     size = -(-m // (4 * workers))
@@ -345,7 +341,7 @@ def _iter_rows(config: ExperimentConfig, a_exp: Optional[float], workers: int):
         chunks = {}
         while token := os.read(queue, 4):
             c = int.from_bytes(token, "little")
-            chunks[c] = [_row(config, a_exp, i) for i in range(c * size, min(c * size + size, m))]
+            chunks[c] = [_row(config, i) for i in range(c * size, min(c * size + size, m))]
         return chunks
 
     children = {}  # pid -> the read end of its pipe
@@ -439,7 +435,7 @@ def _replica_rows(config: ExperimentConfig, mode: _Mode, threads: int) -> tuple:
     Every refusal comes before the first replica draws its disorder.
     """
     params = config.params
-    critical = beta_p(params.p) if params.p >= 3 else 1.0
+    critical = beta_p(params.p)
     supercritical = params.beta >= critical
     if supercritical and not config.allow_supercritical:
         raise InvalidParametersError(
@@ -462,14 +458,11 @@ def _replica_rows(config: ExperimentConfig, mode: _Mode, threads: int) -> tuple:
                 f"mode {config.mode} needs a target normal of positive variance; "
                 f"beta={params.beta} gives {target[1]}"
             )
-    a_exp = None
     if mode.statistic is None:
         check_pair_budget(params.N, params.p, workers)
         # built here, before the parent forks, so workers share it copy-on-write
         pair_plan(params.N, params.p)
-    elif mode.enumerates and params.p >= 3:
-        a_exp = limit_constants(params.beta, params.p).a_exponent
-    return list(_iter_rows(config, a_exp, workers)), supercritical, target
+    return list(_iter_rows(config, workers)), supercritical, target
 
 
 def run_experiment(

@@ -348,6 +348,8 @@ def field_chunks(disorder: Disorder, half: bool = False, chunk_bits: int | None 
     if chunk_bits is None:
         wide = (8 * params.n_couplings - 1).bit_length()
         chunk_bits = min(max(_CHUNK_BITS, wide), _DIRECT_TABLE_BITS)
+    if chunk_bits < 0:
+        raise InvalidParametersError(f"chunk_bits={chunk_bits} must be >= 0")
     chunk_bits = min(chunk_bits, n_bits)
     if chunk_bits > _DIRECT_TABLE_BITS:
         raise ResourceLimitError(f"a 2^{chunk_bits}-state table exceeds the in-memory limit")

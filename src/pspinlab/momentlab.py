@@ -75,6 +75,9 @@ __all__ = [
 # a call adds 8 B per table entry, 2^N of them, and one row block.  The harness
 # builds the plan before it forks, so workers share it.
 _PLAN_BYTES_PER_PAIR = 8
+# first_moment_mc's (states x couplings) parity matrix peaks at 24.0-24.1 B per entry
+# (tracemalloc, binom = 7.3e3..4.3e4, 64 and 256 states); 32 B leaves a margin.
+_PARITY_BYTES = 32
 _PAIR_BLOCK_ENTRIES = 2**13   # pair-table row block = this // n rows: a 64 KiB scratch
 _QUAD_BUDGET = 2 * 10**6      # binom^3 cap for the literal quadruple loop
 BRUTE_PAIR_N = 14             # brute-force pair-moment budget
@@ -305,6 +308,9 @@ def first_moment_mc(
     params = ModelParams(N=N, p=p)
     if replicas < 1 or sigma_samples < 1:
         raise InvalidParametersError("replicas and sigma_samples must be >= 1")
+    check_budget(sigma_samples * params.n_couplings * _PARITY_BYTES,
+                 f"{sigma_samples} states x binom({N},{p}) = {params.n_couplings} couplings "
+                 f"at {_PARITY_BYTES} B each")
     masks = mask_table(N, p)
     scale = beta * math.sqrt(N)
     root = 1.0 / math.sqrt(params.n_couplings)

@@ -62,9 +62,9 @@ __all__ = [
 
 
 def check_seed(seed: int) -> int:
-    """``seed`` itself if it is a 64-bit word; masking would alias a wider one."""
-    if not 0 <= seed <= _MASK64:
-        raise InvalidParametersError(f"seed {seed} is outside [0, 2^64)")
+    """``seed`` itself if it is an integer 64-bit word; masking would alias a wider one."""
+    if not (isinstance(seed, int) and 0 <= seed <= _MASK64):
+        raise InvalidParametersError(f"seed {seed!r} is not an integer in [0, 2^64)")
     return seed
 
 
@@ -131,6 +131,7 @@ class Disorder:
     couplings: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        check_seed(self.seed)
         if len(self.couplings) != self.params.n_couplings:
             raise DataError(
                 f"coupling vector has length {len(self.couplings)}, "
@@ -298,9 +299,7 @@ def save_disorder(disorder: Disorder, path) -> None:
     64-bit integers, then binom(N, p) IEEE-754 little-endian doubles in
     rank order.
     """
-    header = _MAGIC + struct.pack(
-        "<QQQ", disorder.params.N, disorder.params.p, disorder.seed & _MASK64
-    )
+    header = _MAGIC + struct.pack("<QQQ", disorder.params.N, disorder.params.p, disorder.seed)
     payload = np.ascontiguousarray(disorder.couplings, dtype="<f8").tobytes()
     write_atomic(path, (header, payload), mode="wb")
 

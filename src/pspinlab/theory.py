@@ -40,6 +40,7 @@ __all__ = [
     "beta_p",
     "clt_variance",
     "gaussian_moment",
+    "a_exponent",
     "limit_constants",
     "REM_BETA",
 ]
@@ -269,7 +270,8 @@ def gaussian_moment(poly: MomentPolynomial, r: int, method: str = "exact") -> fl
         nodes = (poly.degree * r) // 2 + 1
         x, w = hermegauss(max(nodes, 1))
         vals = polyval(x, poly.coefficients) ** r
-        return float(np.dot(w, vals) / math.sqrt(2.0 * math.pi))
+        # einsum, not np.dot: a BLAS dot splits its sum by thread count
+        return float(np.einsum("i,i->", w, vals) / math.sqrt(2.0 * math.pi))
     raise InvalidParametersError(f"unknown method {method!r}")
 
 
@@ -281,6 +283,13 @@ def _convolve(a: list, b: list) -> list:
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
     return out
+
+
+def a_exponent(p: int) -> float:
+    """a in A_N = N^a, the fine scale A_N/N: 3p/4 - 1/2 for even p, p - 1 for odd p."""
+    if p < 3:
+        raise InvalidParametersError(f"p={p} must be >= 3")
+    return 0.75 * p - 0.5 if p % 2 == 0 else float(p - 1)
 
 
 def limit_constants(beta: float, p: int) -> LimitConstants:
@@ -304,7 +313,6 @@ def limit_constants(beta: float, p: int) -> LimitConstants:
                        1e-9, "E[He_p^3] exact vs quadrature")
         mu = 0.0
         sigma2 = beta**6 / 3.0 * moment
-        a_exponent = 0.75 * p - 0.5
     else:
         moment = gaussian_moment(he, 4)
         _require_close(moment, gaussian_moment(he, 4, method="quadrature"),
@@ -315,13 +323,12 @@ def limit_constants(beta: float, p: int) -> LimitConstants:
         _require_close(base, integral_form, 1e-8, "odd-p sigma^2 vs integral form")
         mu = -(beta**4) * fact / 4.0
         sigma2 = beta**8 * base
-        a_exponent = float(p - 1)
     return LimitConstants(
         clt_variance=clt_variance(beta, p),
         mu=mu,
         sigma2=sigma2,
-        a_exponent=a_exponent,
-        alpha_exponent=a_exponent - 1.0,
+        a_exponent=a_exponent(p),
+        alpha_exponent=a_exponent(p) - 1.0,
     )
 
 

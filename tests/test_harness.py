@@ -29,8 +29,8 @@ from pspinlab import (
 from pspinlab import errors, harness, momentlab
 from pspinlab.cli import main
 from pspinlab.harness import _resolve_threads
-from pspinlab.model import check_enumeration_budget
-from pspinlab.multiindex import check_coupling_budget
+from pspinlab.model import check_enumeration_budget, field_chunks
+from pspinlab.multiindex import check_coupling_budget, check_seed
 
 
 def config(N, p, beta, mode, replicas, seed=0, **kw):
@@ -426,12 +426,12 @@ def test_child_exception_keeps_type_and_message(monkeypatch, capsys, tmp_path):
     class Unpicklable(Exception):  # a local class: pickle cannot find it by name
         pass
 
-    def failing_row(cfg, a_exp, idx):
+    def failing_row(cfg, idx):
         if os.getpid() != parent or (threads == 1 and idx == 7):
             raise raised
         if threads == 2:
             time.sleep(0.1)
-        return row(cfg, a_exp, idx)
+        return row(cfg, idx)
 
     monkeypatch.setattr(harness, "_row", failing_row)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
@@ -459,11 +459,11 @@ def test_killed_worker_fails_the_run_instead_of_hanging(tmp_path):
         "from pspinlab import harness\n"
         "from pspinlab.cli import main\n"
         "parent, row = os.getpid(), harness._row\n"
-        "def dying_row(cfg, a_exp, idx):\n"
+        "def dying_row(cfg, idx):\n"
         "    if os.getpid() != parent:\n"
         "        os.kill(os.getpid(), signal.SIGKILL)\n"
         "    time.sleep(0.1)\n"
-        "    return row(cfg, a_exp, idx)\n"
+        "    return row(cfg, idx)\n"
         "harness._row = dying_row\n"
         "harness.os.sched_getaffinity = lambda pid: {0, 1}\n"
         "sys.exit(main(sys.argv[1:]))\n"
@@ -477,6 +477,33 @@ def test_killed_worker_fails_the_run_instead_of_hanging(tmp_path):
     assert proc.stderr.startswith("error: replica worker ") and proc.stderr.count("\n") == 1
     assert "signal 9" in proc.stderr
     assert not list(tmp_path.iterdir())
+
+
+def test_non_integer_arguments_refused_before_any_disorder(monkeypatch):
+    d = sample_disorder(ModelParams(N=8, p=3), 1)
+
+    def no_draw(*args):
+        raise AssertionError("a disorder was drawn")
+
+    monkeypatch.setattr(harness, "sample_disorder", no_draw)
+    with pytest.raises(InvalidParametersError):
+        check_seed(2.5)
+    for replicas, seed in ((2.5, 0), (4, 2.5)):
+        with pytest.raises(InvalidParametersError):
+            run_experiment(config(8, 3, 0.4, "theorem1", replicas, seed=seed))
+    with pytest.raises(InvalidParametersError):
+        next(field_chunks(d, chunk_bits=-1))
+
+
+def test_theorem1_runs_past_the_moment_engine_cap():
+    # scaled_t2 takes A_N from its closed form: N^{p-1} at odd p, N^{3p/4-1/2} at
+    # even p, here both N^16; theorem2 still needs the degree-68 and -66 moments
+    for N, p in ((18, 17), (23, 22)):
+        report = run_experiment(config(N, p, 0.4, "theorem1", 2, seed=5))
+        for s in report.samples:
+            assert s.scaled_t2 == pytest.approx(N**16.0 * (s.f_n - s.j_n), rel=1e-12, abs=0)
+        with pytest.raises(InvalidParametersError, match="64 cap"):
+            run_experiment(config(N, p, 0.4, "theorem2", 2, seed=5))
 
 
 def test_identities_mode_report():

@@ -30,6 +30,33 @@ def test_no_private_imports_across_modules():
     assert {name: hits for name, hits in offenders.items() if hits} == {}
 
 
+def blas_reductions(source: str) -> list:
+    """(line, call) for every reduction a BLAS may split by thread count."""
+    numpy_names = {"dot", "matmul", "inner", "vdot", "tensordot"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            f = node.func
+            from_numpy = isinstance(f.value, ast.Name) and f.value.id in ("np", "numpy")
+            if f.attr == "dot" or (from_numpy and f.attr in numpy_names):
+                found.append((node.lineno, ast.unparse(f)))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+    return sorted(found)
+
+
+def test_blas_reduction_check_sees_each_form():
+    source = "np.dot(a, b)\nnumpy.tensordot(a, b)\nx.dot(y)\nc = a @ b\nc @= b\nnp.einsum('i,i->', a, b)\n"
+    assert blas_reductions(source) == [(1, "np.dot"), (2, "numpy.tensordot"), (3, "x.dot"),
+                                       (4, "@"), (5, "@")]
+
+
+def test_no_blas_threaded_reductions():
+    # a BLAS dot or gemv splits its sum by thread count, so its bits would follow it
+    offenders = {p.name: blas_reductions(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in offenders.items() if hits} == {}
+
+
 def scipy_solver_imports(path: Path) -> list:
     """Every import of scipy.optimize or scipy.integrate in one module."""
     solvers = {"scipy.optimize", "scipy.integrate"}

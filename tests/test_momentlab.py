@@ -464,6 +464,17 @@ def test_first_moment_mc_guards():
         first_moment_mc(8, 3, 0.5, replicas=4, base_seed=1, sigma_samples=0)
 
 
+def test_first_moment_mc_parity_matrix_budget(monkeypatch):
+    # 64 states x binom(40, 6) = 3,838,380 couplings at 24 B is about 5.5 GiB: refused
+    # before the mask table, which its own budget admits, is built
+    def no_table(N, p):
+        raise AssertionError("the mask table was built")
+
+    monkeypatch.setattr(momentlab, "mask_table", no_table)
+    with pytest.raises(ResourceLimitError):
+        first_moment_mc(40, 6, 0.3, replicas=1, base_seed=1)
+
+
 def test_j_mgf_at_q_zero():
     assert j_mgf(14, 3, 0.9, 0.0) == 1.0
 

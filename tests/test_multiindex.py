@@ -210,6 +210,20 @@ def test_disorder_file_roundtrip(tmp_path):
     assert np.array_equal(back.couplings, d.couplings)
 
 
+def test_disorder_seed_outside_64_bits_refused_before_saving(tmp_path):
+    # packed as seed & (2^64 - 1), 2^64 + 5 would load back as 5 and -1 as 2^64 - 1
+    params = ModelParams(N=6, p=3)
+    couplings = sample_disorder(params, 5).couplings
+    path = tmp_path / "d.pspn"
+    for seed in (2**64 + 5, -1):
+        with pytest.raises(InvalidParametersError):
+            save_disorder(Disorder(params=params, seed=seed, couplings=couplings), str(path))
+    assert not list(tmp_path.iterdir())
+    save_disorder(Disorder(params=params, seed=2**64 - 1, couplings=couplings), str(path))
+    back = load_disorder(str(path))
+    assert back.seed == 2**64 - 1 and np.array_equal(back.couplings, couplings)
+
+
 def test_disorder_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.pspn"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)

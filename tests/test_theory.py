@@ -15,7 +15,7 @@ from pspinlab import (
     phi,
 )
 from pspinlab.errors import NumericalError
-from pspinlab.theory import _bounded_brent, _hermite_fourth_integral
+from pspinlab.theory import _bounded_brent, _hermite_fourth_integral, a_exponent
 
 from _oracles import beta_p_scalar_scan
 
@@ -139,6 +139,16 @@ def test_limit_constants_even_p():
     assert lim.sigma2 == pytest.approx(1728.0 / 3.0)
     assert lim.a_exponent == pytest.approx(0.75 * 4 - 0.5)
     assert lim.alpha_exponent == pytest.approx(lim.a_exponent - 1.0)
+
+
+def test_a_exponent_closed_form_past_the_moment_cap():
+    # A_N = N^{3p/4 - 1/2} for even p and N^{p-1} for odd p, also where the
+    # sigma^2 moment of limit_constants is out of reach (degree p * r > 64)
+    assert [a_exponent(p) for p in (3, 4, 5, 6, 17, 22)] == [2.0, 2.5, 4.0, 4.0, 16.0, 16.0]
+    for p in range(3, 9):
+        assert limit_constants(0.3, p).a_exponent == a_exponent(p)
+    with pytest.raises(InvalidParametersError):
+        a_exponent(2)
 
 
 def test_limit_constants_odd_p():
