@@ -1,5 +1,6 @@
-"""Exception types, and the two run-time policies every module shares.
+"""Exception types, and the run-time policies every module shares.
 
+``check_count`` is the one test of a replica, sample or thread count.
 ``check_budget`` is the one memory refusal: each guarded allocation states
 its bytes and is refused past ``BYTE_BUDGET``.  ``write_atomic`` is the one
 way a file is written: a per-process temp file renamed over the target, so
@@ -22,6 +23,13 @@ class InvalidParametersError(PspinError, ValueError):
 
 class ResourceLimitError(PspinError, RuntimeError):
     """The request exceeds the enumeration or memory budget."""
+
+
+def check_count(value, name: str) -> int:
+    """``value`` itself if it is an integer >= 1; a bool or a float is refused."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InvalidParametersError(f"{name}={value!r} must be an integer >= 1")
+    return value
 
 
 # The memory budget of each guarded allocation, a quarter of an 8 GB machine.

@@ -48,7 +48,7 @@ import numpy as np
 from scipy.special import kolmogorov, ndtr
 
 from .covariance import expansion_approx, exact_covariance, hermite, overlap_grid
-from .errors import (InvalidParametersError, NumericalError, PspinError, check_budget,
+from .errors import (InvalidParametersError, NumericalError, PspinError, check_budget, check_count,
                      check_writable, write_atomic)
 from .model import check_enumeration_budget, j_term
 from .momentlab import (
@@ -150,8 +150,7 @@ class ExperimentConfig:
             raise InvalidParametersError(
                 f"mode {self.mode!r} not one of {sorted(MODES)}"
             )
-        if not isinstance(self.replicas, int) or self.replicas < 1:
-            raise InvalidParametersError(f"replicas={self.replicas!r} must be an integer >= 1")
+        check_count(self.replicas, "replicas")
         check_seed(self.base_seed)
         mode = _MODE_TABLE[self.mode]
         if mode.statistic is not None and self.replicas < 2:
@@ -267,9 +266,7 @@ def _resolve_threads(threads: Optional[int]) -> int:
         if not env.isdecimal():
             raise InvalidParametersError(f"PSPIN_THREADS={env!r} is not a positive integer")
         threads = int(env)
-    if threads < 1:
-        raise InvalidParametersError(f"threads={threads} must be >= 1")
-    return threads
+    return check_count(threads, "threads")
 
 
 def _row(config: ExperimentConfig, idx: int) -> tuple:

@@ -27,11 +27,13 @@ yields ln Z_N together with the sums of X^2, X^3, X^4 the quenched moments
 need, reducing each chunk in 2^16-state slices that stay in cache.  By
 default it folds on the global-flip symmetry X(~s) = (-1)^p X(s): only the
 half-space with the top spin up is transformed, and the mirrored half
-enters as exp(-y) (p odd) or a factor 2 (p even).  Unfolded, it sums the
-full 2^N table, so for odd p the vanishing of the X^3 sum is a genuine
-cancellation.  The fold is checked against the unfolded sum in the test
-suite; :func:`log_partition` and :func:`free_energy` are thin callers of
-the folded pass.
+enters through cosh(y) (p odd) or a factor 2 (p even).  A bound on |y| from
+the couplings decides once per pass whether the sum of e^y could overflow;
+only then is it kept in log domain with a running maximum.  Unfolded, it
+sums the full 2^N table, so for odd p the vanishing of the X^3 sum is a
+genuine cancellation.  The fold is checked against the unfolded sum in
+the test suite; :func:`log_partition` and :func:`free_energy` are thin
+callers of the folded pass.
 """
 
 from __future__ import annotations
@@ -68,15 +70,15 @@ ENUMERATION_BUDGET = 30
 # Largest table built in one piece: 2^24 doubles = 128 MiB.
 _DIRECT_TABLE_BITS = 24
 
-# Peak bytes per coupling of one enumeration pass besides one chunk-sized
-# array, the slot map and then each table (tracemalloc over the first two
-# default chunks of half tables, 2^19-2^24 states, binom = 1.3e5..2.5e6):
-# 30-51 B, 38-59 B with the mask table built inside; the most at (20, 8).
+# Peak bytes per coupling of one enumeration pass besides its table
+# (tracemalloc over the first two default chunks of half tables, 2^19-2^23
+# states, binom = 1.3e5..2.7e6): 36-49 B, 44-56 B with the mask table built
+# inside; the most at (20, 8).
 _PASS_COUPLING_BYTES = 96
 
 # FWHT blocking: a block of 2^16 doubles (512 KiB) and its two ping-pong
 # buffers fit in L2.  Every plan runs in the same buffers, under the lock;
-# the wide stages borrow the first buffer as scratch for their differences.
+# the wide stages ping-pong each column slice through both of them.
 _FWHT_BLOCK_BITS = 16
 _BLOCK_BUFFERS = (np.empty(1 << _FWHT_BLOCK_BITS), np.empty(1 << _FWHT_BLOCK_BITS))
 _BLOCK_LOCK = threading.Lock()
@@ -271,9 +273,9 @@ def _chunk_positions(bits: int, radius: int) -> np.ndarray:
 def _scatter_index(N: int, p: int, bits: int) -> np.ndarray:
     """The slot of each coupling mask in the layout of :func:`_chunk_plans` (bits, p), read-only."""
     positions = _chunk_positions(bits, p)
-    slot = np.empty(1 << bits, np.intp)  # the inverse of positions, freed on return
-    slot[positions] = np.arange(positions.size)
-    index = slot[(mask_table(N, p) & np.uint64((1 << bits) - 1)).view(np.intp)]
+    order = np.argsort(positions)  # the positions are distinct and hold every mask's low bits
+    low = (mask_table(N, p) & np.uint64((1 << bits) - 1)).view(np.intp)
+    index = order[np.searchsorted(positions[order], low)]
     index.flags.writeable = False
     return index
 
@@ -282,8 +284,10 @@ def _transform(slots: np.ndarray, plans: tuple, out: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform, natural ordering, of a scattered chunk into ``out``.
 
     Each block runs its :class:`_BallPlan` on the next slots.  The wide stages of
-    a chunk of several blocks then run in place over cache-sized column
-    slices: the radix-2 stages h = 1, 2, ... < rows, in the dense loop's order.
+    a chunk of several blocks then run over cache-sized column slices: the
+    radix-2 stages h = 1, 2, ... < rows, in the dense loop's order, each slice
+    going from the table through the block buffers in turn and the last stage
+    back into the table; a lone stage runs in place.
     """
     block = 1 << _FWHT_BLOCK_BITS
     with _BLOCK_LOCK:
@@ -297,16 +301,22 @@ def _transform(slots: np.ndarray, plans: tuple, out: np.ndarray) -> np.ndarray:
         if out.size > block:
             rows = len(plans)
             width = block // rows
+            stages = rows.bit_length() - 1
             wide = out.reshape(rows, block)
+            buffers = [_BLOCK_BUFFERS[k & 1].reshape(rows, width) for k in range(stages - 1)]
             for col in range(0, block, width):
-                h = 1
-                while h < rows:
-                    q = wide[:, col : col + width].reshape(-1, 2, h, width)
-                    lo, hi = q[:, 0], q[:, 1]
-                    diff = np.subtract(lo, hi, out=_BLOCK_BUFFERS[0][: block // 2].reshape(lo.shape))
+                piece = src = wide[:, col : col + width]
+                if stages == 1:  # in place, the differences kept in a buffer
+                    lo, hi = piece
+                    diff = np.subtract(lo, hi, out=_BLOCK_BUFFERS[0][:width])
                     lo += hi
                     hi[...] = diff
-                    h *= 2
+                    continue
+                for k, dest in enumerate(buffers + [piece]):
+                    q, r = src.reshape(-1, 2, 1 << k, width), dest.reshape(-1, 2, 1 << k, width)
+                    np.add(q[:, 0], q[:, 1], out=r[:, 0])
+                    np.subtract(q[:, 0], q[:, 1], out=r[:, 1])
+                    src = dest
     return out
 
 
@@ -330,10 +340,11 @@ def field_chunks(disorder: Disorder, half: bool = False, chunk_bits: int | None 
     """Yield the field table in contiguous state-order chunks.
 
     The high state bits are fixed per chunk and fold into the coupling
-    signs, so only the low-bit subcube is transformed.  Its couplings are
-    scattered by ``np.bincount`` into the slots of :func:`_chunk_plans`: the
-    level-0 positions of each 2^16 block's :class:`_BallPlan` (697 at p = 3,
-    not 2^16), block after block.  Block b runs the plan of radius
+    signs, so only the low-bit subcube is transformed.  Its couplings,
+    divided by sqrt(binom(N,p)) once per disorder, are scattered by
+    ``np.bincount`` into the slots of :func:`_chunk_plans`: the level-0
+    positions of each 2^16 block's :class:`_BallPlan` (697 at p = 3, not
+    2^16), block after block.  Block b runs the plan of radius
     p - popcount(b) over the entries its couplings can reach, and the wide
     stages join the blocks.  By default a chunk has 2^19 states, or the whole
     table if smaller, widened (up to the in-memory table size, the largest
@@ -356,11 +367,11 @@ def field_chunks(disorder: Disorder, half: bool = False, chunk_bits: int | None 
     plans, n_slots = _chunk_plans(chunk_bits, params.p)
     index = _scatter_index(params.N, params.p, chunk_bits)
     high = mask_table(params.N, params.p) >> np.uint64(chunk_bits)
+    scaled = disorder.couplings / math.sqrt(params.n_couplings)  # the transform is linear
     for high_state in range(1 << (n_bits - chunk_bits)):
-        values = disorder.couplings * _signs(high, high_state) if high_state else disorder.couplings
+        values = scaled * _signs(high, high_state) if high_state else scaled
         slots = np.bincount(index, weights=values, minlength=n_slots)
         table = _transform(slots, plans, np.empty(1 << chunk_bits))
-        table /= math.sqrt(params.n_couplings)
         yield table
         del table  # one table alive at a time: the caller drops its own as well
 
@@ -369,13 +380,19 @@ def partition_and_power_sums(disorder: Disorder, beta: float, half: bool = True)
     """ln Z_N(beta) and the sums of X^2, X^3, X^4 over all 2^N states.
 
     One pass over the field table, each chunk reduced in 2^16-state slices
-    while they are in cache.  ln Z_N = ln E_sigma e^{beta sqrt(N) X} is
-    accumulated in log domain with a running maximum, safe for
-    beta sqrt(N) max|X| up to the exp overflow threshold.  With ``half``
-    only the half table is transformed: the mirrored half
+    while they are in cache.  ln Z_N = ln E_sigma e^{beta sqrt(N) X}.  With
+    ``half`` only the half table is transformed: the mirrored half
     X(~s) = (-1)^p X(s) doubles the even powers, and the odd power doubles
-    for even p and cancels to exactly 0 for odd p.  Without it the full
+    for even p and cancels to exactly 0 for odd p; the two halves enter
+    e^y as 2 cosh(y) for odd p and as 2 e^y for even p.  Without it the full
     table is summed as it stands.
+
+    |y| is at most B = beta sqrt(N) sum_A |J_A| / sqrt(binom(N,p)).  When
+    B + N ln 2 is below the log of the largest double, no sum of e^y or
+    cosh(y) can overflow and, X having mean 0, each is at least 1: they are
+    summed as they stand.  Otherwise ln Z_N is accumulated in log domain
+    with a running maximum, safe for beta sqrt(N) max|X| up to the exp
+    overflow threshold.
     """
     params = disorder.params
     if not (beta >= 0.0):
@@ -384,7 +401,10 @@ def partition_and_power_sums(disorder: Disorder, beta: float, half: bool = True)
         raise DataError("non-finite coupling encountered")
     scale = beta * math.sqrt(params.N)
     mirror_odd = half and params.p % 2 == 1
-    running_max = -math.inf
+    bound = scale * float(np.abs(disorder.couplings).sum()) / math.sqrt(params.n_couplings)
+    direct = bound + params.N * math.log(2.0) < math.log(np.finfo(float).max)
+    running_max = 0.0 if direct else -math.inf
+    term = np.cosh if mirror_odd else np.exp  # cosh(y): a state and its mirror, halved
     acc = s2 = s3 = s4 = 0.0
     buf = None  # allocated by the first slice, reused by the rest
     for table in field_chunks(disorder, half=half):
@@ -397,6 +417,9 @@ def partition_and_power_sums(disorder: Disorder, beta: float, half: bool = True)
                 s3 += float(np.einsum("i,i->", buf, x))
             s4 += float(np.einsum("i,i->", buf, buf))
             y = np.multiply(x, scale, out=x)
+            if direct:
+                acc += float(term(y, out=buf).sum())
+                continue
             for part in range(2 if mirror_odd else 1):
                 # the mirrored half is -y; (-m) - y rounds as (-y) - m, so no negated copy
                 m = -float(y.min()) if part else float(y.max())
@@ -410,7 +433,7 @@ def partition_and_power_sums(disorder: Disorder, beta: float, half: bool = True)
                 acc += float(np.exp(buf, out=buf).sum()) * math.exp(m - running_max)
         del table, x, y  # before field_chunks builds the next chunk
     fold = 2.0 if half else 1.0
-    if not mirror_odd:
+    if direct or not mirror_odd:
         acc *= fold
     log_z = running_max + math.log(acc) - params.N * math.log(2.0)
     return log_z, fold * s2, fold * s3, fold * s4

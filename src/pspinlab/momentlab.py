@@ -39,7 +39,8 @@ from functools import lru_cache
 import numpy as np
 
 from .covariance import covariance_numerator
-from .errors import IdentityCheckError, InvalidParametersError, ResourceLimitError, check_budget
+from .errors import (IdentityCheckError, InvalidParametersError, ResourceLimitError, check_budget,
+                     check_count)
 from .model import j_term, partition_and_power_sums
 from .multiindex import (
     Disorder,
@@ -306,8 +307,8 @@ def first_moment_mc(
     estimate per replica, suitable for mean/standard-error tests.
     """
     params = ModelParams(N=N, p=p)
-    if replicas < 1 or sigma_samples < 1:
-        raise InvalidParametersError("replicas and sigma_samples must be >= 1")
+    check_count(replicas, "replicas")
+    check_count(sigma_samples, "sigma_samples")
     check_budget(sigma_samples * params.n_couplings * _PARITY_BYTES,
                  f"{sigma_samples} states x binom({N},{p}) = {params.n_couplings} couplings "
                  f"at {_PARITY_BYTES} B each")
@@ -334,8 +335,7 @@ def j_mgf_mc(
 ) -> np.ndarray:
     """Per-replica Monte Carlo samples of e^{-q N J_N}."""
     params = ModelParams(N=N, p=p)
-    if replicas < 1:
-        raise InvalidParametersError("replicas must be >= 1")
+    check_count(replicas, "replicas")
     out = np.empty(replicas)
     for r in range(replicas):
         disorder = sample_disorder(params, derive_seed(base_seed, r))

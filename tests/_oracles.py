@@ -52,9 +52,9 @@ def fwht_radix2(a):
 def dense_field_chunks(disorder, half, chunk_bits):
     """The field table in 2^chunk_bits-state chunks, each scattered dense.
 
-    Every chunk is the full bincount of its signed couplings at the low
-    mask bits, transformed by the radix-2 stage loop and divided by
-    sqrt(binom(N, p)).
+    Every chunk is the full bincount of its signed couplings, divided by
+    sqrt(binom(N, p)), at the low mask bits, transformed by the radix-2
+    stage loop.
     """
     params = disorder.params
     n_bits = params.N - 1 if half else params.N
@@ -62,12 +62,12 @@ def dense_field_chunks(disorder, half, chunk_bits):
     masks = mask_table(params.N, params.p)
     low = (masks & np.uint64((1 << chunk_bits) - 1)).astype(np.intp)
     high = masks >> np.uint64(chunk_bits)
+    scaled = disorder.couplings / math.sqrt(params.n_couplings)
     for high_state in range(1 << (n_bits - chunk_bits)):
         parity = np.bitwise_count(high & np.uint64(high_state)) & np.uint64(1)
-        values = disorder.couplings * (1.0 - 2.0 * parity.astype(np.float64))
+        values = scaled * (1.0 - 2.0 * parity.astype(np.float64))
         table = np.bincount(low, weights=values, minlength=1 << chunk_bits)
         fwht_radix2(table)
-        table /= math.sqrt(params.n_couplings)
         yield table
 
 

@@ -133,6 +133,17 @@ def test_resolve_threads(monkeypatch):
         _resolve_threads(0)
 
 
+def test_fractional_and_bool_counts_refused():
+    # a float or a bool once passed the >= 1 test and failed deep inside numpy
+    mc = momentlab.first_moment_mc
+    for call in (lambda: _resolve_threads(2.5), lambda: _resolve_threads(True),
+                 lambda: mc(8, 3, 0.3, replicas=1, base_seed=1, sigma_samples=2.5),
+                 lambda: mc(8, 3, 0.3, replicas=1.5, base_seed=1),
+                 lambda: momentlab.j_mgf_mc(8, 3, 0.3, 0.5, replicas=2.5, base_seed=1)):
+        with pytest.raises(InvalidParametersError, match="must be an integer >= 1"):
+            call()
+
+
 def test_non_integer_threads_env_exits_1(monkeypatch, capsys):
     monkeypatch.setenv("PSPIN_THREADS", "abc")
     with pytest.raises(InvalidParametersError):

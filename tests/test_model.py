@@ -365,6 +365,45 @@ def test_chunked_pass_matches_logsumexp_n22():
         assert s4 == pytest.approx(float(np.sum(table**4)), rel=1e-12)
 
 
+def gate_beta(d):
+    """The beta at which beta sqrt(N) sum |J_A| / sqrt(binom) + N ln 2 reaches ln(max double)."""
+    params = d.params
+    per_beta = math.sqrt(params.N / params.n_couplings) * float(np.abs(d.couplings).sum())
+    return (math.log(np.finfo(float).max) - params.N * math.log(2.0)) / per_beta
+
+
+def test_pass_matches_logsumexp_on_both_routes():
+    # below the gate e^y (full table, even fold) and cosh(y) (odd fold) are
+    # summed as they stand; at (10, 3) beta = 300 is past it, where they would
+    # overflow and only the running-max fallback stays finite
+    from scipy.special import logsumexp
+
+    for N, p, beta in ((12, 3, 0.7), (14, 4, 0.7), (10, 3, 300.0)):
+        d = sample_disorder(ModelParams(N=N, p=p), 90 + N)
+        assert (beta < gate_beta(d)) == (beta < 1.0)
+        table = field_table(d, half=False)
+        expected = float(logsumexp(beta * math.sqrt(N) * table)) - N * math.log(2.0)
+        for half in (True, False):
+            log_z = partition_and_power_sums(d, beta, half=half)[0]
+            assert log_z == pytest.approx(expected, rel=1e-12)
+            assert partition_and_power_sums(d, 0.0, half=half)[0] == 0.0
+
+
+def test_pass_near_the_gate_raises_no_floating_point_error():
+    # just below the gate the largest sums come closest to overflow; just
+    # above it the fallback takes over.  Neither over- nor underflows
+    from scipy.special import logsumexp
+
+    for N, p in ((10, 3), (10, 4)):
+        d = sample_disorder(ModelParams(N=N, p=p), 95 + p)
+        table = field_table(d, half=False)
+        for beta in (gate_beta(d) * (1.0 - 1e-9), gate_beta(d) * (1.0 + 1e-9)):
+            expected = float(logsumexp(beta * math.sqrt(N) * table)) - N * math.log(2.0)
+            with np.errstate(all="raise"):
+                got = [partition_and_power_sums(d, beta, half=half)[0] for half in (True, False)]
+            assert got == pytest.approx([expected, expected], rel=1e-12)
+
+
 def test_log_partition_zero_beta():
     d = sample_disorder(ModelParams(N=10, p=3), 1)
     assert log_partition(d, 0.0) == 0.0
