@@ -16,17 +16,9 @@ from .errors import (
 from .multiindex import (
     Disorder,
     ModelParams,
-    coupling_entry,
     derive_seed,
-    enumerate_multi_indices,
-    index_to_mask,
-    load_disorder,
     mask_table,
-    mask_to_index,
-    rank,
     sample_disorder,
-    save_disorder,
-    unrank,
 )
 from .model import (
     ENUMERATION_BUDGET,
@@ -36,7 +28,6 @@ from .model import (
     free_energy,
     gaussian_field,
     gray_sweep,
-    hamiltonian,
     j_term,
     log_partition,
 )
@@ -47,8 +38,6 @@ from .covariance import (
     d_coefficient,
     exact_covariance,
     expansion_approx,
-    expansion_deviation,
-    gaussian_pmf_error,
     hermite,
     hermite_scaling_gap,
     overlap_grid,
@@ -60,20 +49,16 @@ from .theory import (
     LimitConstants,
     beta_p,
     clt_variance,
-    critical_objective,
     gaussian_moment,
     limit_constants,
-    phi,
 )
 from .momentlab import (
     QuenchedMoments,
     exact_first_moment,
-    first_moment_expansion,
     first_moment_mc,
     free_energy_and_moments,
     h3_representation,
     h4_direct,
-    h4_quadruple_loop,
     h4_statistic,
     j_mgf,
     j_mgf_mc,

@@ -32,12 +32,10 @@ __all__ = [
     "covariance_numerator",
     "exact_covariance",
     "expansion_approx",
-    "expansion_deviation",
     "hermite_scaling_gap",
     "overlap_grid",
     "overlap_pmf",
     "overlap_pmf_gaussian",
-    "gaussian_pmf_error",
 ]
 
 
@@ -135,24 +133,6 @@ def expansion_approx(N: int, p: int, m: float) -> float:
     return acc
 
 
-def expansion_deviation(N: int, p: int, m_window: float = 1.0) -> float:
-    """max over grid overlaps |m| <= m_window of the expansion error.
-
-    Error is |exact - expansion| / max(|exact|, N^{-p/2}); the floor keeps
-    the ratio meaningful where f vanishes.
-    """
-    worst = 0.0
-    for k in range(N + 1):
-        m = 1.0 - 2.0 * k / N
-        if abs(m) > m_window + 1e-12:
-            continue
-        exact = exact_covariance(N, p, k)
-        approx = expansion_approx(N, p, m)
-        err = abs(exact - approx) / max(abs(exact), N ** (-p / 2.0))
-        worst = max(worst, err)
-    return worst
-
-
 def hermite_scaling_gap(N: int, p: int, x_window: float = 0.5) -> float:
     """max over grid points of |N^{p/2} f_{p,N}(m) - He_p(sqrt(N) m)|.
 
@@ -210,25 +190,6 @@ def overlap_pmf_gaussian(N: int, m: float) -> float:
     if N < 1:
         raise InvalidParametersError(f"N={N} must be >= 1")
     return 2.0 / math.sqrt(2.0 * math.pi * N) * math.exp(-N * m * m / 2.0)
-
-
-def gaussian_pmf_error(N: int, m_window: float | None = None) -> float:
-    """max relative error of the Gaussian pmf over |m| <= m_window.
-
-    Defaults to the bulk window m_window = N^{-1/3}, where the local limit
-    is uniformly good.  Only grid points are evaluated.
-    """
-    if m_window is None:
-        m_window = N ** (-1.0 / 3.0)
-    worst = 0.0
-    for j in range(N + 1):
-        m = -1.0 + 2.0 * j / N
-        if abs(m) > m_window + 1e-12:
-            continue
-        exact = overlap_pmf(N, m)
-        err = abs(overlap_pmf_gaussian(N, m) - exact) / exact
-        worst = max(worst, err)
-    return worst
 
 
 def _check(N: int, p: int, k: int) -> None:

@@ -1,14 +1,17 @@
 """Exception types, and the run-time policies every module shares.
 
-``check_count`` is the one test of a replica, sample or thread count.
+``check_count`` is the one test of a replica, sample or thread count, and
+``check_beta`` the one test of an inverse temperature.
 ``check_budget`` is the one memory refusal: each guarded allocation states
 its bytes and is refused past ``BYTE_BUDGET``.  ``write_atomic`` is the one
-way a file is written: a per-process temp file renamed over the target, so
-a reader never sees a partial file and a failed write leaves none.
+way a text file is written: a per-process temp file renamed over the
+target, so a reader never sees a partial file and a failed write leaves
+none.
 ``check_writable``, which it calls, refuses up front a target that is not a
 regular file.
 """
 
+import math
 import os
 from contextlib import suppress
 
@@ -30,6 +33,12 @@ def check_count(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise InvalidParametersError(f"{name}={value!r} must be an integer >= 1")
     return value
+
+
+def check_beta(beta) -> None:
+    """Refuse an inverse temperature unless it is finite and >= 0: NaN and inf included."""
+    if not (0.0 <= beta < math.inf):
+        raise InvalidParametersError(f"beta={beta} must be finite and >= 0")
 
 
 # The memory budget of each guarded allocation, a quarter of an 8 GB machine.
@@ -59,8 +68,8 @@ def check_writable(path) -> str:
     return target
 
 
-def write_atomic(path, chunks, mode: str = "w") -> None:
-    """Write ``chunks`` to ``path`` by renaming a per-process temp file, removed on failure.
+def write_atomic(path, chunks) -> None:
+    """Write text ``chunks`` to ``path`` by renaming a per-process temp file, removed on failure.
 
     A symlink is written through to its target; a path that
     :func:`check_writable` refuses is refused before the temp file exists.
@@ -68,7 +77,7 @@ def write_atomic(path, chunks, mode: str = "w") -> None:
     target = check_writable(path)
     tmp = f"{target}.tmp.{os.getpid()}"
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, "w") as fh:
             fh.writelines(chunks)
         os.replace(tmp, target)
     except BaseException:
@@ -78,7 +87,7 @@ def write_atomic(path, chunks, mode: str = "w") -> None:
 
 
 class DataError(PspinError, ValueError):
-    """Input data is unusable (non-finite couplings, corrupt files)."""
+    """Input data is unusable (non-finite couplings)."""
 
 
 class IdentityCheckError(PspinError, RuntimeError):

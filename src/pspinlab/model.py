@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DataError, InvalidParametersError, ResourceLimitError, check_budget
+from .errors import DataError, InvalidParametersError, ResourceLimitError, check_beta, check_budget
 from .multiindex import Disorder, ModelParams, mask_table
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "ENUMERATION_BUDGET",
     "check_enumeration_budget",
     "gaussian_field",
-    "hamiltonian",
     "gray_sweep",
     "field_table",
     "field_chunks",
@@ -99,11 +98,6 @@ def gaussian_field(bits: SpinConfiguration, disorder: Disorder) -> float:
     _check_bits(bits, params.N)
     signs = _signs(mask_table(params.N, params.p), bits)
     return float(np.einsum("i,i->", disorder.couplings, signs) / math.sqrt(params.n_couplings))
-
-
-def hamiltonian(bits: SpinConfiguration, disorder: Disorder) -> float:
-    """H(sigma) = -sqrt(N) X_sigma."""
-    return -math.sqrt(disorder.params.N) * gaussian_field(bits, disorder)
 
 
 class EnergyLedger:
@@ -395,8 +389,7 @@ def partition_and_power_sums(disorder: Disorder, beta: float, half: bool = True)
     overflow threshold.
     """
     params = disorder.params
-    if not (beta >= 0.0):
-        raise InvalidParametersError(f"beta={beta} must be >= 0")
+    check_beta(beta)
     if not np.all(np.isfinite(disorder.couplings)):
         raise DataError("non-finite coupling encountered")
     scale = beta * math.sqrt(params.N)

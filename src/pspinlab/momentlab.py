@@ -39,8 +39,8 @@ from functools import lru_cache
 import numpy as np
 
 from .covariance import covariance_numerator
-from .errors import (IdentityCheckError, InvalidParametersError, ResourceLimitError, check_budget,
-                     check_count)
+from .errors import (IdentityCheckError, InvalidParametersError, ResourceLimitError, check_beta,
+                     check_budget, check_count)
 from .model import j_term, partition_and_power_sums
 from .multiindex import (
     Disorder,
@@ -61,9 +61,7 @@ __all__ = [
     "pair_sums",
     "check_pair_budget",
     "pair_plan",
-    "h4_quadruple_loop",
     "exact_first_moment",
-    "first_moment_expansion",
     "j_mgf",
     "first_moment_mc",
     "j_mgf_mc",
@@ -80,7 +78,6 @@ _PLAN_BYTES_PER_PAIR = 8
 # (tracemalloc, binom = 7.3e3..4.3e4, 64 and 256 states); 32 B leaves a margin.
 _PARITY_BYTES = 32
 _PAIR_BLOCK_ENTRIES = 2**13   # pair-table row block = this // n rows: a 64 KiB scratch
-_QUAD_BUDGET = 2 * 10**6      # binom^3 cap for the literal quadruple loop
 BRUTE_PAIR_N = 14             # brute-force pair-moment budget
 _SIGMA_TAG = 0x5349474D41     # auxiliary stream id for configuration draws
 
@@ -222,33 +219,6 @@ def pair_plan(N: int, p: int) -> tuple:
     return blocks, masks
 
 
-def h4_quadruple_loop(disorder: Disorder) -> float:
-    """Literal sum over ordered distinct quadruples; small-N oracle only."""
-    params = disorder.params
-    n = params.n_couplings
-    if n**3 > _QUAD_BUDGET:
-        raise ResourceLimitError(f"quadruple loop over binom^3 = {n**3} exceeds budget")
-    masks = [int(m) for m in mask_table(params.N, params.p)]
-    rank_of = {m: i for i, m in enumerate(masks)}
-    couplings = disorder.couplings
-    total = 0.0
-    for a in range(n):
-        ja = couplings[a]
-        for b in range(n):
-            if b == a:
-                continue
-            mab = masks[a] ^ masks[b]
-            jab = ja * couplings[b]
-            for c in range(n):
-                if c == a or c == b:
-                    continue
-                d = rank_of.get(mab ^ masks[c])
-                if d is None or d == a or d == b or d == c:
-                    continue
-                total += jab * couplings[c] * couplings[d]
-    return params.a_n**4 / 24.0 * total
-
-
 def _closed_form_binom(N: int, p: int) -> int:
     # closed forms never enumerate configurations, so N is not capped at
     # the 64-bit bound the sampling structures enforce
@@ -266,22 +236,16 @@ def exact_first_moment(N: int, p: int, beta: float) -> float:
     t = beta^2 a_N^2; evaluated in log domain.
     """
     n = _closed_form_binom(N, p)
-    if not (beta >= 0.0):
-        raise InvalidParametersError(f"beta={beta} must be >= 0")
+    check_beta(beta)
     t = beta * beta * (N / n)
     ln_val = n * (t / (2.0 * (1.0 + t)) - 0.5 * math.log1p(t))
     return math.exp(ln_val)
 
 
-def first_moment_expansion(N: int, p: int, beta: float) -> float:
-    """Second-order small-t expansion 1 - b^4 N a^2/4 + b^8 N^2 a^4/32."""
-    a2 = N / _closed_form_binom(N, p)
-    return 1.0 - beta**4 * N * a2 / 4.0 + beta**8 * N * N * a2 * a2 / 32.0
-
-
 def j_mgf(N: int, p: int, beta: float, q: float) -> float:
     """E[e^{-q N J_N}] = (1 + q beta^2 a_N^2)^{-binom(N,p)/2}, log domain."""
     n = _closed_form_binom(N, p)
+    check_beta(beta)
     t = q * beta * beta * (N / n)
     if t <= -1.0:
         raise InvalidParametersError(
@@ -306,7 +270,7 @@ def first_moment_mc(
     exact e^{-N J_N} of that replica.  Unbiased; the returned array is one
     estimate per replica, suitable for mean/standard-error tests.
     """
-    params = ModelParams(N=N, p=p)
+    params = ModelParams(N=N, p=p, beta=beta)
     check_count(replicas, "replicas")
     check_count(sigma_samples, "sigma_samples")
     check_budget(sigma_samples * params.n_couplings * _PARITY_BYTES,
@@ -334,7 +298,7 @@ def j_mgf_mc(
     N: int, p: int, beta: float, q: float, replicas: int, base_seed: int
 ) -> np.ndarray:
     """Per-replica Monte Carlo samples of e^{-q N J_N}."""
-    params = ModelParams(N=N, p=p)
+    params = ModelParams(N=N, p=p, beta=beta)
     check_count(replicas, "replicas")
     out = np.empty(replicas)
     for r in range(replicas):

@@ -35,8 +35,6 @@ from .errors import IdentityCheckError, InvalidParametersError, NumericalError
 
 __all__ = [
     "LimitConstants",
-    "phi",
-    "critical_objective",
     "beta_p",
     "clt_variance",
     "gaussian_moment",
@@ -64,40 +62,6 @@ class LimitConstants:
     sigma2: float
     a_exponent: float
     alpha_exponent: float
-
-
-def phi(m: float) -> float:
-    """(1-m)/2 ln(1-m) + (1+m)/2 ln(1+m), extended by continuity to [-1, 1].
-
-    Symmetric in m by construction; phi(0) = 0 and phi(+-1) = ln 2 exactly.
-    """
-    if not (-1.0 <= m <= 1.0):
-        raise InvalidParametersError(f"phi requires |m| <= 1, got m={m}")
-    a = abs(m)
-    if a == 0.0:
-        return 0.0
-    if a == 1.0:
-        return math.log(2.0)
-    return ((1.0 - a) * math.log1p(-a) + (1.0 + a) * math.log1p(a)) / 2.0
-
-
-def _softplus(t: float) -> float:
-    if t > 36.0:
-        return t + math.log1p(math.exp(-t))
-    return math.log1p(math.exp(t))
-
-
-def _ln_objective(m: float, p: int) -> float:
-    # ln[(1 + m^{-p}) phi(m)] without forming m^{-p}, which overflows for
-    # small m and large p
-    return math.log(phi(m)) + _softplus(-p * math.log(m))
-
-
-def critical_objective(m: float, p: int) -> float:
-    """g(m) = (1 + m^{-p}) phi(m), the function whose infimum is beta_p^2."""
-    if not (0.0 < m < 1.0):
-        raise InvalidParametersError(f"need 0 < m < 1, got m={m}")
-    return math.exp(_ln_objective(m, p))
 
 
 def _excess_objective(u: float, p: int) -> float:

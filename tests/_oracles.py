@@ -1,4 +1,4 @@
-"""Independent oracles shared by test modules.
+"""Independent oracles and gauges for the test modules.
 
 Everything here recomputes quantities from first principles, avoiding the
 library's incremental or transform-based code paths.
@@ -9,8 +9,171 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+from numpy.random import Philox
+from scipy.special import ndtri
 
-from pspinlab import mask_table
+from pspinlab import (
+    InvalidParametersError,
+    ResourceLimitError,
+    derive_seed,
+    exact_covariance,
+    expansion_approx,
+    gaussian_field,
+    mask_table,
+    overlap_pmf,
+    overlap_pmf_gaussian,
+)
+
+_QUAD_BUDGET = 2 * 10**6      # binom^3 cap for the literal quadruple loop
+
+
+def enumerate_multi_indices(N, p):
+    """All strictly increasing p-tuples over {1, ..., N}, colex order.
+
+    Returns exactly binom(N, p) tuples.  Colex order: compare the largest
+    differing entry, so (2,3,4) < (1,2,5).
+    """
+    if not 1 <= p <= N:
+        raise InvalidParametersError(f"need 1 <= p <= N, got p={p}, N={N}")
+    out = []
+    a = list(range(1, p + 1))
+    while True:
+        out.append(tuple(a))
+        # colex successor: bump the smallest entry that has headroom,
+        # reset everything below it to the minimal prefix
+        j = 0
+        while j < p - 1 and a[j] + 1 == a[j + 1]:
+            j += 1
+        if j == p - 1 and a[j] == N:
+            break
+        a[j] += 1
+        for i in range(j):
+            a[i] = i + 1
+    return out
+
+
+def index_to_mask(A):
+    """Bitmask with bit (a-1) set for each site label a in the tuple."""
+    m = 0
+    for a in A:
+        m |= 1 << (a - 1)
+    return m
+
+
+def coupling_entry(params, seed, r):
+    """Regenerate coupling entry r alone, without entries before it.
+
+    Philox counts in 4-word blocks; entry r lives in block r // 4 at word
+    r % 4.  The stream is keyed as the library keys it, then read from that
+    block on.
+    """
+    if not (0 <= r < params.n_couplings):
+        raise InvalidParametersError(f"coupling rank {r} out of range")
+    key = derive_seed(seed, 0x6B79) | (derive_seed(seed, 0x9D39) << 64)
+    block = Philox(key=key, counter=[r >> 2, 0, 0, 0]).random_raw(4)
+    u = ((block[r & 3 : (r & 3) + 1] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return float(ndtri(u)[0])
+
+
+def hamiltonian(bits, disorder):
+    """H(sigma) = -sqrt(N) X_sigma."""
+    return -math.sqrt(disorder.params.N) * gaussian_field(bits, disorder)
+
+
+def h4_quadruple_loop(disorder):
+    """Literal sum over ordered distinct quadruples; small-N oracle only."""
+    params = disorder.params
+    n = params.n_couplings
+    if n**3 > _QUAD_BUDGET:
+        raise ResourceLimitError(f"quadruple loop over binom^3 = {n**3} exceeds budget")
+    masks = [int(m) for m in mask_table(params.N, params.p)]
+    rank_of = {m: i for i, m in enumerate(masks)}
+    couplings = disorder.couplings
+    total = 0.0
+    for a in range(n):
+        ja = couplings[a]
+        for b in range(n):
+            if b == a:
+                continue
+            mab = masks[a] ^ masks[b]
+            jab = ja * couplings[b]
+            for c in range(n):
+                if c == a or c == b:
+                    continue
+                d = rank_of.get(mab ^ masks[c])
+                if d is None or d == a or d == b or d == c:
+                    continue
+                total += jab * couplings[c] * couplings[d]
+    return params.a_n**4 / 24.0 * total
+
+
+def first_moment_expansion(N, p, beta):
+    """Second-order small-t expansion 1 - b^4 N a^2/4 + b^8 N^2 a^4/32."""
+    a2 = N / math.comb(N, p)
+    return 1.0 - beta**4 * N * a2 / 4.0 + beta**8 * N * N * a2 * a2 / 32.0
+
+
+def expansion_deviation(N, p, m_window=1.0):
+    """max over grid overlaps |m| <= m_window of the expansion error.
+
+    Error is |exact - expansion| / max(|exact|, N^{-p/2}); the floor keeps
+    the ratio meaningful where f vanishes.
+    """
+    worst = 0.0
+    for k in range(N + 1):
+        m = 1.0 - 2.0 * k / N
+        if abs(m) > m_window + 1e-12:
+            continue
+        exact = exact_covariance(N, p, k)
+        approx = expansion_approx(N, p, m)
+        err = abs(exact - approx) / max(abs(exact), N ** (-p / 2.0))
+        worst = max(worst, err)
+    return worst
+
+
+def gaussian_pmf_error(N, m_window=None):
+    """max relative error of the Gaussian pmf over |m| <= m_window.
+
+    Defaults to the bulk window m_window = N^{-1/3}, where the local limit
+    is uniformly good.  Only grid points are evaluated.
+    """
+    if m_window is None:
+        m_window = N ** (-1.0 / 3.0)
+    worst = 0.0
+    for j in range(N + 1):
+        m = -1.0 + 2.0 * j / N
+        if abs(m) > m_window + 1e-12:
+            continue
+        exact = overlap_pmf(N, m)
+        err = abs(overlap_pmf_gaussian(N, m) - exact) / exact
+        worst = max(worst, err)
+    return worst
+
+
+def phi(m):
+    """(1-m)/2 ln(1-m) + (1+m)/2 ln(1+m), extended by continuity to [-1, 1].
+
+    Symmetric in m by construction; phi(0) = 0 and phi(+-1) = ln 2 exactly.
+    """
+    if not (-1.0 <= m <= 1.0):
+        raise InvalidParametersError(f"phi requires |m| <= 1, got m={m}")
+    a = abs(m)
+    if a == 0.0:
+        return 0.0
+    if a == 1.0:
+        return math.log(2.0)
+    return ((1.0 - a) * math.log1p(-a) + (1.0 + a) * math.log1p(a)) / 2.0
+
+
+def critical_objective(m, p):
+    """g(m) = (1 + m^{-p}) phi(m), the function whose infimum is beta_p^2."""
+    if not (0.0 < m < 1.0):
+        raise InvalidParametersError(f"need 0 < m < 1, got m={m}")
+    # ln[(1 + m^{-p}) phi(m)] without forming m^{-p}, which overflows for
+    # small m and large p: ln(1 + m^{-p}) is the softplus of t = -p ln m
+    t = -p * math.log(m)
+    softplus = t + math.log1p(math.exp(-t)) if t > 36.0 else math.log1p(math.exp(t))
+    return math.exp(math.log(phi(m)) + softplus)
 
 
 def naive_field_table(disorder):

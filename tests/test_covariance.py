@@ -14,14 +14,14 @@ from pspinlab import (
     d_coefficient,
     exact_covariance,
     expansion_approx,
-    expansion_deviation,
-    gaussian_pmf_error,
     hermite,
     hermite_scaling_gap,
     overlap_grid,
     overlap_pmf,
     overlap_pmf_gaussian,
 )
+
+from _oracles import expansion_deviation, gaussian_pmf_error
 
 
 def brute_force_covariance(N, p, k_disagree):

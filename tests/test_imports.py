@@ -9,6 +9,7 @@ from pathlib import Path
 import pspinlab
 
 PACKAGE = Path(pspinlab.__file__).parent
+REPO = PACKAGE.parent.parent
 
 
 def private_imports(path: Path) -> list:
@@ -28,6 +29,33 @@ def test_no_private_imports_across_modules():
     assert len(modules) >= 9
     offenders = {p.name: private_imports(p) for p in modules}
     assert {name: hits for name, hits in offenders.items() if hits} == {}
+
+
+def used_names(path: Path) -> set:
+    """Every name a file reads or imports.
+
+    A def, a class, an assignment, a docstring or an ``__all__`` entry is no use.
+    """
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            names.add(node.id if isinstance(node, ast.Name) else node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def test_every_export_has_a_caller():
+    # a public name that only the unit tests reach belongs in tests/, not in the package
+    init = PACKAGE / "__init__.py"
+    exported = {a.name for node in ast.parse(init.read_text()).body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    callers = [p for p in sorted(PACKAGE.glob("*.py")) if p != init]
+    callers += sorted(REPO.glob("demos/*.py")) + sorted(REPO.glob("perfbench/*.py"))
+    callers.append(REPO / "tests" / "test_acceptance.py")
+    assert len(callers) >= 20 and len(exported) >= 50
+    used = set().union(*(used_names(p) for p in callers))
+    assert sorted(exported - used) == []
 
 
 def blas_reductions(source: str) -> list:

@@ -20,7 +20,6 @@ from pspinlab import (
     free_energy,
     gaussian_field,
     gray_sweep,
-    hamiltonian,
     j_term,
     log_partition,
     sample_disorder,
@@ -29,7 +28,8 @@ from pspinlab import (
 from pspinlab import model
 from pspinlab.model import _ball_plan, _fwht, partition_and_power_sums
 
-from _oracles import dense_field_chunks, fwht_radix2, naive_field_table, naive_log_partition
+from _oracles import (dense_field_chunks, fwht_radix2, hamiltonian, naive_field_table,
+                      naive_log_partition)
 
 
 def unit_disorder(N, p, value=1.0):

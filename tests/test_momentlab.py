@@ -19,13 +19,11 @@ from pspinlab import (
     ResourceLimitError,
     derive_seed,
     exact_first_moment,
-    first_moment_expansion,
     first_moment_mc,
     free_energy,
     free_energy_and_moments,
     h3_representation,
     h4_direct,
-    h4_quadruple_loop,
     h4_statistic,
     j_mgf,
     j_mgf_mc,
@@ -41,8 +39,10 @@ from pspinlab import (
 from _oracles import (
     brute_signed_sums_loop,
     exact_pair_sums,
+    first_moment_expansion,
     h3_pair_scan,
     h4_pair_grouping,
+    h4_quadruple_loop,
     naive_field_table,
     sorted_bin_pair_sums,
 )
@@ -492,6 +492,19 @@ def test_j_mgf_domain():
         j_mgf(6, 3, 2.0, -1.0)
     val = j_mgf(6, 3, 2.0, -0.5)    # t = -0.6, inside
     assert val > 1.0
+
+
+def test_beta_outside_model_rule_refused():
+    # the rule of ModelParams, finite and >= 0: NaN gave nan, -0.3 gave estimates
+    d = make_disorder(8, 3, 1)
+    for beta in (math.nan, math.inf, -0.3):
+        calls = (lambda: exact_first_moment(8, 3, beta), lambda: j_mgf(8, 3, beta, 1.0),
+                 lambda: first_moment_mc(8, 3, beta, replicas=2, base_seed=1),
+                 lambda: j_mgf_mc(8, 3, beta, 1.0, replicas=2, base_seed=1),
+                 lambda: log_partition(d, beta))
+        for call in calls:
+            with pytest.raises(InvalidParametersError, match="finite and >= 0"):
+                call()
 
 
 def test_j_mgf_quad_oracle():

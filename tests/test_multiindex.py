@@ -1,33 +1,24 @@
 import math
-import os
-import stat
-import struct
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pspinlab import (
     DataError,
     Disorder,
+    ExperimentConfig,
     InvalidParametersError,
     ModelParams,
-    ResourceLimitError,
-    coupling_entry,
     derive_seed,
-    enumerate_multi_indices,
-    index_to_mask,
-    load_disorder,
     mask_table,
-    mask_to_index,
-    rank,
+    run_experiment,
     sample_disorder,
-    save_disorder,
-    unrank,
 )
 from pspinlab import multiindex
+from pspinlab.multiindex import check_seed
+
+from _oracles import coupling_entry, enumerate_multi_indices, index_to_mask
 
 
 def test_enumerate_examples():
@@ -52,36 +43,6 @@ def test_enumerate_count_and_colex_order():
             assert len(set(seq)) == len(seq)
 
 
-def test_rank_examples():
-    assert rank((1, 2, 3), 6, 3) == 0
-    assert rank((1, 3, 4), 4, 3) == 2
-
-
-def test_rank_matches_enumeration_position():
-    for N, p in [(6, 3), (7, 2), (8, 4), (5, 5)]:
-        for i, a in enumerate(enumerate_multi_indices(N, p)):
-            assert rank(a, N, p) == i
-            assert unrank(i, N, p) == a
-
-
-@given(st.integers(1, 20).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))))
-@settings(max_examples=60, deadline=None)
-def test_unrank_rank_roundtrip(np_pair):
-    N, p = np_pair
-    total = math.comb(N, p)
-    for r in {0, total - 1, total // 2, total // 3}:
-        assert rank(unrank(r, N, p), N, p) == r
-
-
-def test_rank_rejects_bad_index():
-    with pytest.raises(InvalidParametersError):
-        rank((2, 2, 3), 6, 3)
-    with pytest.raises(InvalidParametersError):
-        rank((0, 1, 2), 6, 3)
-    with pytest.raises(InvalidParametersError):
-        unrank(math.comb(6, 3), 6, 3)
-
-
 def test_masks_align_with_colex_rank():
     # ascending bitmask order is exactly colex order on p-subsets
     for N, p in [(8, 3), (10, 2), (6, 5)]:
@@ -89,7 +50,6 @@ def test_masks_align_with_colex_rank():
         assert np.all(np.diff(masks.astype(np.int64)) > 0)
         for i, a in enumerate(enumerate_multi_indices(N, p)):
             assert int(masks[i]) == index_to_mask(a)
-            assert mask_to_index(int(masks[i])) == a
 
 
 def test_mask_table_matches_tuple_oracle():
@@ -196,89 +156,17 @@ def test_seed_outside_64_bits_refused():
             sample_disorder(params, seed)
         with pytest.raises(InvalidParametersError):
             coupling_entry(params, seed, 0)
+    with pytest.raises(InvalidParametersError):
+        Disorder(params=params, seed=2**64 + 5, couplings=sample_disorder(params, 5).couplings)
+    # True is an int, and would run as seed 1
+    with pytest.raises(InvalidParametersError):
+        check_seed(True)
+    with pytest.raises(InvalidParametersError):
+        sample_disorder(params, True)
+    with pytest.raises(InvalidParametersError):
+        run_experiment(ExperimentConfig(params=ModelParams(N=6, p=3, beta=0.3), replicas=2,
+                                        base_seed=True, mode="jterm_clt"))
     assert sample_disorder(params, 2**64 - 1).seed == 2**64 - 1
-
-
-def test_disorder_file_roundtrip(tmp_path):
-    params = ModelParams(N=10, p=3, beta=0.4)
-    d = sample_disorder(params, 5)
-    path = tmp_path / "d.pspn"
-    save_disorder(d, str(path))
-    back = load_disorder(str(path))
-    assert back.params.N == 10 and back.params.p == 3
-    assert back.seed == 5
-    assert np.array_equal(back.couplings, d.couplings)
-
-
-def test_disorder_seed_outside_64_bits_refused_before_saving(tmp_path):
-    # packed as seed & (2^64 - 1), 2^64 + 5 would load back as 5 and -1 as 2^64 - 1
-    params = ModelParams(N=6, p=3)
-    couplings = sample_disorder(params, 5).couplings
-    path = tmp_path / "d.pspn"
-    for seed in (2**64 + 5, -1):
-        with pytest.raises(InvalidParametersError):
-            save_disorder(Disorder(params=params, seed=seed, couplings=couplings), str(path))
-    assert not list(tmp_path.iterdir())
-    save_disorder(Disorder(params=params, seed=2**64 - 1, couplings=couplings), str(path))
-    back = load_disorder(str(path))
-    assert back.seed == 2**64 - 1 and np.array_equal(back.couplings, couplings)
-
-
-def test_disorder_file_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.pspn"
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
-    with pytest.raises(DataError):
-        load_disorder(str(path))
-    d = sample_disorder(ModelParams(N=8, p=3), 1)
-    good = tmp_path / "good.pspn"
-    save_disorder(d, str(good))
-    data = good.read_bytes()
-    (tmp_path / "trunc.pspn").write_bytes(data[: len(data) - 16])
-    with pytest.raises(DataError):
-        load_disorder(str(tmp_path / "trunc.pspn"))
-    path.write_bytes(b"PSPN1\x01\x02")
-    with pytest.raises(DataError):
-        load_disorder(str(path))
-
-
-def test_disorder_file_header_budget_before_payload(tmp_path):
-    # a header claiming binom(64, 32) couplings is refused before its payload
-    # is read; one byte past a good payload is still trailing data
-    path = tmp_path / "huge.pspn"
-    path.write_bytes(b"PSPN1" + struct.pack("<QQQ", 64, 32, 0))
-    with pytest.raises(ResourceLimitError, match="couplings"):
-        load_disorder(str(path))
-    save_disorder(sample_disorder(ModelParams(N=8, p=3), 1), str(path))
-    path.write_bytes(path.read_bytes() + b"\0")
-    with pytest.raises(DataError):
-        load_disorder(str(path))
-
-
-def test_disorder_file_written_through_symlink_not_over_fifo(tmp_path):
-    # a rename would replace the FIFO with a file and the link with a copy
-    d = sample_disorder(ModelParams(N=8, p=3), 1)
-    fifo = tmp_path / "fifo"
-    os.mkfifo(fifo)
-    with pytest.raises(OSError, match="not a regular file"):
-        save_disorder(d, str(fifo))
-    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
-    target, link = tmp_path / "target.pspn", tmp_path / "link.pspn"
-    target.write_bytes(b"old")
-    os.symlink(target, link)
-    save_disorder(d, str(link))
-    assert os.path.islink(link)
-    assert np.array_equal(load_disorder(str(target)).couplings, d.couplings)
-    assert sorted(f.name for f in tmp_path.iterdir()) == ["fifo", "link.pspn", "target.pspn"]
-
-
-def test_disorder_file_failed_rename_leaves_no_temp(tmp_path):
-    # the target is a directory, so the write is refused before any temp file
-    d = sample_disorder(ModelParams(N=8, p=3), 1)
-    target = tmp_path / "out.pspn"
-    target.mkdir()
-    with pytest.raises(OSError):
-        save_disorder(d, str(target))
-    assert [f.name for f in tmp_path.iterdir()] == ["out.pspn"]
 
 
 def test_disorder_couplings_validated():

@@ -8,16 +8,14 @@ from pspinlab import (
     InvalidParametersError,
     beta_p,
     clt_variance,
-    critical_objective,
     gaussian_moment,
     hermite,
     limit_constants,
-    phi,
 )
 from pspinlab.errors import NumericalError
 from pspinlab.theory import _bounded_brent, _hermite_fourth_integral, a_exponent
 
-from _oracles import beta_p_scalar_scan
+from _oracles import beta_p_scalar_scan, critical_objective, phi
 
 
 def test_phi_values():
