@@ -169,6 +169,17 @@ def test_seed_outside_64_bits_refused():
     assert sample_disorder(params, 2**64 - 1).seed == 2**64 - 1
 
 
+def test_disorder_seed_outside_64_bits_refused_before_saving():
+    # a Disorder carrying 2^64 + 5 or -1 is refused when built, so none can reach a file or report
+    params = ModelParams(N=6, p=3)
+    couplings = sample_disorder(params, 5).couplings
+    for seed in (2**64 + 5, -1):
+        with pytest.raises(InvalidParametersError):
+            Disorder(params=params, seed=seed, couplings=couplings)
+    kept = Disorder(params=params, seed=2**64 - 1, couplings=couplings)
+    assert kept.seed == 2**64 - 1 and np.array_equal(kept.couplings, couplings)
+
+
 def test_disorder_couplings_validated():
     params = ModelParams(N=8, p=3)
     with pytest.raises(DataError):
