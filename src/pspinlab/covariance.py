@@ -125,8 +125,7 @@ def exact_covariance(N: int, p: int, k_disagree: int) -> float:
 
 def expansion_approx(N: int, p: int, m: float) -> float:
     """Truncated expansion sum_k d_{p-2k} N^{-k} m^{p-2k} of f_{p,N}(m)."""
-    if p < 1 or N < p:
-        raise InvalidParametersError(f"need 1 <= p <= N, got p={p}, N={N}")
+    _check(N, p)
     acc = 0.0
     for k in range(p // 2 + 1):
         acc += d_coefficient(p, k) * float(N) ** (-k) * m ** (p - 2 * k)
@@ -140,6 +139,7 @@ def hermite_scaling_gap(N: int, p: int, x_window: float = 0.5) -> float:
     x_window, the scaling window in which the covariance converges to the
     Hermite profile.
     """
+    _check(N, p)
     he = hermite(p)
     scale = N ** (p / 2.0)
     sqrt_n = math.sqrt(N)
@@ -192,7 +192,7 @@ def overlap_pmf_gaussian(N: int, m: float) -> float:
     return 2.0 / math.sqrt(2.0 * math.pi * N) * math.exp(-N * m * m / 2.0)
 
 
-def _check(N: int, p: int, k: int) -> None:
+def _check(N: int, p: int, k: int = 0) -> None:
     if p < 1 or N < p:
         raise InvalidParametersError(f"need 1 <= p <= N, got p={p}, N={N}")
     if not (0 <= k <= N):

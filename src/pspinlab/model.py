@@ -447,6 +447,7 @@ def j_term(disorder: Disorder, beta: float) -> float:
 
     Equals (beta^2 / 2N) E_sigma[H^2]; no enumeration involved.
     """
+    check_beta(beta)
     # einsum, not np.dot: a long BLAS dot splits by thread count, threads spin
     j2 = float(np.einsum("i,i->", disorder.couplings, disorder.couplings))
     return beta * beta * j2 / (2.0 * disorder.params.n_couplings)

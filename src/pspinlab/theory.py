@@ -11,12 +11,13 @@ N(mu, sigma^2) with
     p odd:   A_N = N^{p-1},         mu = -beta^4 p!/4, sigma^2 = beta^8/12 E[He_p(X)^4]
                                                               - beta^8 p!^2/8
 
-with X standard normal.  Gaussian moments are computed twice: exact
-integer/rational expansion against E[X^{2m}] = (2m-1)!!, and Gauss-Hermite
-quadrature with enough nodes for exact polynomial integration.  The odd-p
-sigma^2 is additionally cross-checked against the trapezoid rule for the
-defining integral on a uniform grid, which converges geometrically for an
-entire, Gaussian-damped integrand.  beta_p is polished by a bounded Brent
+with X standard normal.  Both moments are exact integers from factorials:
+E[He_p^3] = p!^3 / ((p/2)!)^3 for even p (the triple-product formula), and
+E[He_p^4] = sum_k (k! binom(p,k)^2)^2 (2p-2k)! from the linearization
+He_p^2 = sum_k k! binom(p,k)^2 He_{2p-2k}; each is rounded to double once.
+``gaussian_moment`` computes E[q(X)^r] for any polynomial q of degree <= 64
+by exact rational expansion or by Gauss-Hermite quadrature; the tests hold
+it against the closed forms.  beta_p is polished by a bounded Brent
 minimizer kept here, so scipy is needed at run time for scipy.special only.
 """
 
@@ -30,14 +31,15 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.polynomial import polyval
 
-from .covariance import MomentPolynomial, hermite
-from .errors import IdentityCheckError, InvalidParametersError, NumericalError
+from .covariance import MomentPolynomial
+from .errors import InvalidParametersError, NumericalError, check_beta, check_count
 
 __all__ = [
     "LimitConstants",
     "beta_p",
     "clt_variance",
     "gaussian_moment",
+    "hermite_moment",
     "a_exponent",
     "limit_constants",
     "REM_BETA",
@@ -177,7 +179,7 @@ def beta_p(p: int) -> float:
     rounding and the computed value can cross the m -> 1 limit 2 ln 2.
     By convention beta_2 = 1.
     """
-    if p < 2:
+    if check_count(p, "p") < 2:
         raise InvalidParametersError(f"p={p} must be >= 2")
     if p == 2:
         return 1.0
@@ -196,8 +198,8 @@ def beta_p(p: int) -> float:
 
 def clt_variance(beta: float, p: int) -> float:
     """Variance beta^4 p!/2 of the leading-scale Gaussian limit."""
-    if p < 0:
-        raise InvalidParametersError(f"p={p} must be >= 0")
+    check_count(p, "p")
+    check_beta(beta)
     return beta**4 * math.factorial(p) / 2.0
 
 
@@ -251,64 +253,47 @@ def _convolve(a: list, b: list) -> list:
 
 def a_exponent(p: int) -> float:
     """a in A_N = N^a, the fine scale A_N/N: 3p/4 - 1/2 for even p, p - 1 for odd p."""
-    if p < 3:
+    if check_count(p, "p") < 3:
         raise InvalidParametersError(f"p={p} must be >= 3")
     return 0.75 * p - 0.5 if p % 2 == 0 else float(p - 1)
 
 
-def limit_constants(beta: float, p: int) -> LimitConstants:
-    """All fine-scale constants for one (beta, p), with cross-checks.
+def hermite_moment(p: int, r: int) -> int:
+    """E[He_p(X)^r] for standard normal X and r in (3, 4), as an exact integer.
 
-    The Gaussian moment entering sigma^2 is computed by the exact and the
-    quadrature route (must agree to 1e-9 relative); for p odd the variance
-    is additionally matched to 1e-8 against
-    (1/(12 sqrt(2 pi))) Int He_p(m)^4 e^{-m^2/2} dm - p!^2/8, the integral
-    taken by the trapezoid rule with step 1/8 on [-24, 24].
+    r = 3: p!^3 / ((p/2)!)^3 for even p, 0 for odd p.  r = 4:
+    sum_k (k! binom(p,k)^2)^2 (2p-2k)!, pairing the linearization of He_p^2
+    with itself through E[He_a He_b] = a! [a = b].
     """
-    if p < 3:
-        raise InvalidParametersError(f"p={p} must be >= 3")
-    if not (beta >= 0.0):
-        raise InvalidParametersError(f"beta={beta} must be >= 0")
-    he = hermite(p)
+    check_count(p, "p")
+    if r == 3:
+        return 0 if p % 2 else math.factorial(p) ** 3 // math.factorial(p // 2) ** 3
+    if r == 4:
+        return sum((math.factorial(k) * math.comb(p, k) ** 2) ** 2 * math.factorial(2 * p - 2 * k)
+                   for k in range(p + 1))
+    raise InvalidParametersError(f"moment order r={r} must be 3 or 4")
+
+
+def limit_constants(beta: float, p: int) -> LimitConstants:
+    """All fine-scale constants for one (beta, p), the moment from ``hermite_moment``.
+
+    Finite for every p <= 64 at moderate beta; a large beta overflows, to
+    OverflowError or to inf.
+    """
+    a = a_exponent(p)
+    check_beta(beta)
     fact = math.factorial(p)
     if p % 2 == 0:
-        moment = gaussian_moment(he, 3)
-        _require_close(moment, gaussian_moment(he, 3, method="quadrature"),
-                       1e-9, "E[He_p^3] exact vs quadrature")
         mu = 0.0
-        sigma2 = beta**6 / 3.0 * moment
+        sigma2 = beta**6 / 3.0 * float(hermite_moment(p, 3))
     else:
-        moment = gaussian_moment(he, 4)
-        _require_close(moment, gaussian_moment(he, 4, method="quadrature"),
-                       1e-9, "E[He_p^4] exact vs quadrature")
-        base = moment / 12.0 - fact**2 / 8.0
-        integral = _hermite_fourth_integral(he)
-        integral_form = integral / (12.0 * math.sqrt(2.0 * math.pi)) - fact**2 / 8.0
-        _require_close(base, integral_form, 1e-8, "odd-p sigma^2 vs integral form")
+        base = float(hermite_moment(p, 4)) / 12.0 - fact**2 / 8.0
         mu = -(beta**4) * fact / 4.0
         sigma2 = beta**8 * base
     return LimitConstants(
         clt_variance=clt_variance(beta, p),
         mu=mu,
         sigma2=sigma2,
-        a_exponent=a_exponent(p),
-        alpha_exponent=a_exponent(p) - 1.0,
+        a_exponent=a,
+        alpha_exponent=a - 1.0,
     )
-
-
-def _hermite_fourth_integral(poly: MomentPolynomial) -> float:
-    """Int q(m)^4 e^{-m^2/2} dm over the real line, by the trapezoid rule.
-
-    A uniform grid of step 1/8 on [-24, 24].  For q of degree at most 15
-    the integrand past |m| = 24 is below 1e-40 of the integral, and the
-    rule's error on an entire, Gaussian-damped integrand falls
-    geometrically with the step, far below the rounding of the sum.
-    """
-    m = np.linspace(-24.0, 24.0, 385)
-    return float(np.trapezoid(poly(m) ** 4 * np.exp(-m * m / 2.0), dx=0.125))
-
-
-def _require_close(a: float, b: float, rtol: float, label: str) -> None:
-    scale = max(abs(a), abs(b), 1e-300)
-    if abs(a - b) / scale > rtol:
-        raise IdentityCheckError(f"{label}: {a} vs {b} beyond rtol={rtol}")

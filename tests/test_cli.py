@@ -32,6 +32,22 @@ def test_constants_schema(capsys):
     assert doc["a_exponent"] == 2.0
 
 
+def test_constants_every_p_finite(capsys):
+    # one closed form per constant: no moment-engine cap below the p <= 64 limit
+    for p in range(3, 65):
+        code, out, err = run_cli(capsys, "constants", "--p", str(p), "--beta", "0.5")
+        assert (code, err) == (0, ""), p
+        doc = json.loads(out)
+        assert doc["p"] == p
+        for key in ("beta_p", "clt_variance", "mu", "sigma2", "a_exponent", "alpha_exponent"):
+            assert math.isfinite(doc[key]), (p, key)
+        assert doc["sigma2"] > 0.0, p
+    code, out, err = run_cli(capsys, "constants", "--p", "3", "--beta", "1e80")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_constants_alias_prints_run_payload(capsys):
     code, out, _ = run_cli(capsys, "constants", "--n", "7", "--p", "4", "--beta", "0.3")
     assert code == 0

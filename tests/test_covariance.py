@@ -141,6 +141,14 @@ def test_hermite_scaling_gap_halves_with_doubling():
         assert g40 / g80 > 1.5
 
 
+def test_n_p_range_refused_before_dividing():
+    # N = 0 used to divide by zero in hermite_scaling_gap, N = 2.5 to fail in range()
+    for N, p in ((0, 3), (2.5, 3), (5, 0), (3, 4)):
+        for call in (hermite_scaling_gap, expansion_approx):
+            with pytest.raises(InvalidParametersError, match="1 <= p <= N"):
+                call(N, p, 0.5)
+
+
 def test_overlap_grid_shape():
     grid = overlap_grid(6)
     assert grid.values[0] == -1.0 and grid.values[-1] == 1.0

@@ -21,6 +21,7 @@ from pspinlab import (
     derive_seed,
     free_energy,
     j_term,
+    limit_constants,
     run_experiment,
     sample_disorder,
     summarize,
@@ -508,13 +509,16 @@ def test_non_integer_arguments_refused_before_any_disorder(monkeypatch):
 
 def test_theorem1_runs_past_the_moment_engine_cap():
     # scaled_t2 takes A_N from its closed form: N^{p-1} at odd p, N^{3p/4-1/2} at
-    # even p, here both N^16; theorem2 still needs the degree-68 and -66 moments
+    # even p, here both N^16; theorem2 takes its E[He_p^4] and E[He_p^3] from
+    # factorials, past the degree-64 cap of the moment engine (68 and 66 here)
     for N, p in ((18, 17), (23, 22)):
         report = run_experiment(config(N, p, 0.4, "theorem1", 2, seed=5))
         for s in report.samples:
             assert s.scaled_t2 == pytest.approx(N**16.0 * (s.f_n - s.j_n), rel=1e-12, abs=0)
-        with pytest.raises(InvalidParametersError, match="64 cap"):
-            run_experiment(config(N, p, 0.4, "theorem2", 2, seed=5))
+        report = run_experiment(config(N, p, 0.4, "theorem2", 2, seed=5))
+        target = limit_constants(0.4, p)
+        assert (report.summary.target_mean, report.summary.target_variance) == (target.mu, target.sigma2)
+        assert math.isfinite(target.sigma2) and target.sigma2 > 0.0
 
 
 def test_identities_mode_report():

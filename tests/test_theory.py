@@ -6,16 +6,19 @@ import pytest
 from pspinlab import (
     REM_BETA,
     InvalidParametersError,
+    ModelParams,
     beta_p,
     clt_variance,
     gaussian_moment,
     hermite,
+    j_term,
     limit_constants,
+    sample_disorder,
 )
 from pspinlab.errors import NumericalError
-from pspinlab.theory import _bounded_brent, _hermite_fourth_integral, a_exponent
+from pspinlab.theory import _bounded_brent, a_exponent, hermite_moment
 
-from _oracles import beta_p_scalar_scan, critical_objective, phi
+from _oracles import beta_p_scalar_scan, critical_objective, hermite_fourth_integral, phi
 
 
 def test_phi_values():
@@ -140,8 +143,8 @@ def test_limit_constants_even_p():
 
 
 def test_a_exponent_closed_form_past_the_moment_cap():
-    # A_N = N^{3p/4 - 1/2} for even p and N^{p-1} for odd p, also where the
-    # sigma^2 moment of limit_constants is out of reach (degree p * r > 64)
+    # A_N = N^{3p/4 - 1/2} for even p and N^{p-1} for odd p, also past the
+    # degree-64 cap of gaussian_moment (p * r > 64)
     assert [a_exponent(p) for p in (3, 4, 5, 6, 17, 22)] == [2.0, 2.5, 4.0, 4.0, 16.0, 16.0]
     for p in range(3, 9):
         assert limit_constants(0.3, p).a_exponent == a_exponent(p)
@@ -170,10 +173,52 @@ def test_limit_constants_guards():
         limit_constants(1.0, 2)
     with pytest.raises(InvalidParametersError):
         limit_constants(-0.2, 3)
+    # p must be an integer: a bool or a float is refused, not truncated
+    calls = (beta_p, a_exponent, lambda p: clt_variance(1.0, p),
+             lambda p: limit_constants(1.0, p), lambda p: hermite_moment(p, 4))
+    for call in calls:
+        for p in (2.5, 3.5, 4.0, True):
+            with pytest.raises(InvalidParametersError, match="integer"):
+                call(p)
+    with pytest.raises(InvalidParametersError):
+        hermite_moment(3, 2)
+
+
+def test_closed_forms_refuse_beta_outside_model_rule():
+    # the ModelParams rule, finite and >= 0: NaN gave nan, -1 gave 3.0, inf gave inf
+    d = sample_disorder(ModelParams(N=8, p=3), 1)
+    for beta in (math.nan, math.inf, -1.0):
+        for call in (lambda: clt_variance(beta, 3), lambda: limit_constants(beta, 3),
+                     lambda: limit_constants(beta, 4), lambda: j_term(d, beta)):
+            with pytest.raises(InvalidParametersError, match="finite and >= 0"):
+                call()
+
+
+def test_hermite_moment_matches_the_moment_engine():
+    # the closed forms against the exact rational expansion wherever it reaches
+    # (degree p * r <= 64), and against quadrature to 1e-9
+    for r, top in ((3, 21), (4, 16)):
+        for p in range(1, top + 1):
+            exact = hermite_moment(p, r)
+            assert isinstance(exact, int)
+            assert float(exact) == gaussian_moment(hermite(p), r, method="exact"), (p, r)
+            if exact:
+                quad = gaussian_moment(hermite(p), r, method="quadrature")
+                assert quad == pytest.approx(exact, rel=1e-9), (p, r)
+    assert [hermite_moment(p, 3) for p in (2, 3, 4)] == [8, 0, 1728]
+    assert hermite_moment(3, 4) == 3348
+
+
+def test_odd_p_sigma2_matches_trapezoid_integral():
+    # sigma^2 at beta = 1 against (1/(12 sqrt(2 pi))) Int He_p^4 e^{-m^2/2} dm - p!^2/8
+    for p in range(3, 16, 2):
+        integral = hermite_fourth_integral(hermite(p))
+        form = integral / (12.0 * math.sqrt(2.0 * math.pi)) - math.factorial(p) ** 2 / 8.0
+        assert limit_constants(1.0, p).sigma2 == pytest.approx(form, rel=1e-8, abs=0.0), p
 
 
 def test_limit_constants_all_small_p():
-    # internal dual-path and integral cross-checks must not trip
+    # both closed forms give a positive fine-scale variance
     for p in range(3, 11):
         lim = limit_constants(0.7, p)
         assert lim.sigma2 > 0.0
@@ -211,4 +256,4 @@ def test_trapezoid_integral_matches_adaptive_quadrature():
             lambda m: he(m) ** 4 * math.exp(-m * m / 2.0),
             -np.inf, np.inf, epsabs=0.0, epsrel=1e-12, limit=200,
         )
-        assert _hermite_fourth_integral(he) == pytest.approx(oracle, rel=1e-12, abs=0.0), p
+        assert hermite_fourth_integral(he) == pytest.approx(oracle, rel=1e-12, abs=0.0), p
