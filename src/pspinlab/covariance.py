@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParametersError
+from .errors import InvalidParametersError, check_count, check_sizes
 
 __all__ = [
     "MomentPolynomial",
@@ -37,6 +37,9 @@ __all__ = [
     "overlap_pmf",
     "overlap_pmf_gaussian",
 ]
+
+# The scaling window |sqrt(N) m| <= _X_WINDOW of hermite_scaling_gap.
+_X_WINDOW = 0.5
 
 
 @dataclass(frozen=True)
@@ -82,8 +85,8 @@ def d_coefficient(p: int, k: int) -> float:
     Always an integer (it equals binom(p, 2k) (2k-1)!! up to sign); computed
     exactly and returned as a double.
     """
-    if p < 0 or k < 0 or 2 * k > p:
-        raise InvalidParametersError(f"need 0 <= k <= p/2, got p={p}, k={k}")
+    check_count(p, "p", 0)
+    check_count(k, "k", 0, p // 2)
     num = math.factorial(p)
     den = (1 << k) * math.factorial(k) * math.factorial(p - 2 * k)
     sign = -1 if k % 2 else 1
@@ -96,8 +99,7 @@ def hermite(p: int) -> MomentPolynomial:
     Built from d_coefficient, so He_p(x) = sum_k d_{p-2k} x^{p-2k}; the
     classical recurrence He_{p+1} = x He_p - p He_{p-1} is a test oracle.
     """
-    if p < 0:
-        raise InvalidParametersError(f"p={p} must be >= 0")
+    check_count(p, "p", 0)
     coeffs = [0.0] * (p + 1)
     for k in range(p // 2 + 1):
         coeffs[p - 2 * k] = d_coefficient(p, k)
@@ -106,7 +108,8 @@ def hermite(p: int) -> MomentPolynomial:
 
 def covariance_numerator(N: int, p: int, k_disagree: int) -> int:
     """Exact integer binom(N,p) f_{p,N}(m): the alternating Krawtchouk sum."""
-    _check(N, p, k_disagree)
+    check_sizes(N, p)
+    check_count(k_disagree, "k_disagree", 0, N)
     return sum(
         (-1) ** j * math.comb(k_disagree, j) * math.comb(N - k_disagree, p - j)
         for j in range(p + 1)
@@ -125,21 +128,21 @@ def exact_covariance(N: int, p: int, k_disagree: int) -> float:
 
 def expansion_approx(N: int, p: int, m: float) -> float:
     """Truncated expansion sum_k d_{p-2k} N^{-k} m^{p-2k} of f_{p,N}(m)."""
-    _check(N, p)
+    check_sizes(N, p)
     acc = 0.0
     for k in range(p // 2 + 1):
         acc += d_coefficient(p, k) * float(N) ** (-k) * m ** (p - 2 * k)
     return acc
 
 
-def hermite_scaling_gap(N: int, p: int, x_window: float = 0.5) -> float:
+def hermite_scaling_gap(N: int, p: int) -> float:
     """max over grid points of |N^{p/2} f_{p,N}(m) - He_p(sqrt(N) m)|.
 
-    The maximum runs over overlaps m in Gamma_N with |sqrt(N) m| <=
-    x_window, the scaling window in which the covariance converges to the
-    Hermite profile.
+    The maximum runs over overlaps m in Gamma_N with |sqrt(N) m| <= 0.5,
+    the scaling window in which the covariance converges to the Hermite
+    profile.
     """
-    _check(N, p)
+    check_sizes(N, p)
     he = hermite(p)
     scale = N ** (p / 2.0)
     sqrt_n = math.sqrt(N)
@@ -147,7 +150,7 @@ def hermite_scaling_gap(N: int, p: int, x_window: float = 0.5) -> float:
     for k in range(N + 1):
         m = 1.0 - 2.0 * k / N
         x = sqrt_n * m
-        if abs(x) > x_window + 1e-12:
+        if abs(x) > _X_WINDOW + 1e-12:
             continue
         gap = abs(scale * exact_covariance(N, p, k) - he(x))
         worst = max(worst, gap)
@@ -155,8 +158,7 @@ def hermite_scaling_gap(N: int, p: int, x_window: float = 0.5) -> float:
 
 
 def overlap_grid(N: int) -> OverlapGrid:
-    if N < 1:
-        raise InvalidParametersError(f"N={N} must be >= 1")
+    check_count(N, "N")
     return OverlapGrid(N=N, values=tuple(-1.0 + 2.0 * j / N for j in range(N + 1)))
 
 
@@ -174,6 +176,7 @@ def overlap_pmf(N: int, m: float) -> float:
     Evaluated in log domain (lgamma) and exponentiated, so it stays finite
     for any N in range.
     """
+    check_count(N, "N")
     j = _grid_point_to_count(N, m)
     log_binom = (
         math.lgamma(N + 1) - math.lgamma(j + 1) - math.lgamma(N - j + 1)
@@ -187,13 +190,5 @@ def overlap_pmf_gaussian(N: int, m: float) -> float:
     Carries the 1/sqrt(N) normalization so it is an honest pmf
     approximation on the spacing-2/N grid (it sums to 1 + O(1/N)).
     """
-    if N < 1:
-        raise InvalidParametersError(f"N={N} must be >= 1")
+    check_count(N, "N")
     return 2.0 / math.sqrt(2.0 * math.pi * N) * math.exp(-N * m * m / 2.0)
-
-
-def _check(N: int, p: int, k: int = 0) -> None:
-    if p < 1 or N < p:
-        raise InvalidParametersError(f"need 1 <= p <= N, got p={p}, N={N}")
-    if not (0 <= k <= N):
-        raise InvalidParametersError(f"k_disagree={k} out of range [0, {N}]")

@@ -1,7 +1,8 @@
 """Exception types, and the run-time policies every module shares.
 
-``check_count`` is the one test of a replica, sample or thread count, and
-``check_beta`` the one test of an inverse temperature.
+``check_count`` is the one test of an integer argument in range: a size, an
+order, a replica, sample or thread count, a seed; ``check_sizes`` applies it
+to a pair N, p.  ``check_beta`` is the one test of an inverse temperature.
 ``check_budget`` is the one memory refusal: each guarded allocation states
 its bytes and is refused past ``BYTE_BUDGET``.  ``write_atomic`` is the one
 way a text file is written: a per-process temp file renamed over the
@@ -28,11 +29,24 @@ class ResourceLimitError(PspinError, RuntimeError):
     """The request exceeds the enumeration or memory budget."""
 
 
-def check_count(value, name: str) -> int:
-    """``value`` itself if it is an integer >= 1; a bool or a float is refused."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise InvalidParametersError(f"{name}={value!r} must be an integer >= 1")
+def check_count(value, name: str, low: int = 1, high=None) -> int:
+    """``value`` itself if it is an integer in [low, high]; a bool or a float is refused."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low or (
+            high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise InvalidParametersError(f"{name}={value!r} must be an integer {bound}")
     return value
+
+
+def check_sizes(N, p, min_p: int = 1, max_n=None) -> None:
+    """Refuse a system size N and order p unless they are integers, min_p <= p <= N <= max_n."""
+    try:
+        check_count(N, "N", min_p, max_n)
+        check_count(p, "p", min_p, N)
+    except InvalidParametersError:
+        cap = "" if max_n is None else f" <= {max_n}"
+        raise InvalidParametersError(
+            f"need integers {min_p} <= p <= N{cap}, got p={p!r}, N={N!r}") from None
 
 
 def check_beta(beta) -> None:

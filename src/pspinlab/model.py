@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DataError, InvalidParametersError, ResourceLimitError, check_beta, check_budget
+from .errors import DataError, ResourceLimitError, check_beta, check_budget, check_count
 from .multiindex import Disorder, ModelParams, mask_table
 
 __all__ = [
@@ -95,7 +95,7 @@ SpinConfiguration = int
 def gaussian_field(bits: SpinConfiguration, disorder: Disorder) -> float:
     """X_sigma = binom(N,p)^{-1/2} sum_A J_A sigma_A for one configuration."""
     params = disorder.params
-    _check_bits(bits, params.N)
+    check_count(bits, "configuration", 0, (1 << params.N) - 1)
     signs = _signs(mask_table(params.N, params.p), bits)
     return float(np.einsum("i,i->", disorder.couplings, signs) / math.sqrt(params.n_couplings))
 
@@ -353,9 +353,7 @@ def field_chunks(disorder: Disorder, half: bool = False, chunk_bits: int | None 
     if chunk_bits is None:
         wide = (8 * params.n_couplings - 1).bit_length()
         chunk_bits = min(max(_CHUNK_BITS, wide), _DIRECT_TABLE_BITS)
-    if chunk_bits < 0:
-        raise InvalidParametersError(f"chunk_bits={chunk_bits} must be >= 0")
-    chunk_bits = min(chunk_bits, n_bits)
+    chunk_bits = min(check_count(chunk_bits, "chunk_bits", 0), n_bits)
     if chunk_bits > _DIRECT_TABLE_BITS:
         raise ResourceLimitError(f"a 2^{chunk_bits}-state table exceeds the in-memory limit")
     plans, n_slots = _chunk_plans(chunk_bits, params.p)
@@ -457,13 +455,6 @@ def _signs(masks: np.ndarray, bits: int) -> np.ndarray:
     """sigma_A = (-1)^{popcount(mask_A & bits)} for each coupling mask, as +-1.0."""
     parity = np.bitwise_count(masks & np.uint64(bits)) & np.uint64(1)
     return 1.0 - 2.0 * parity.astype(np.float64)
-
-
-def _check_bits(bits: int, N: int) -> None:
-    if bits < 0 or bits >> N:
-        raise InvalidParametersError(
-            f"configuration {bits:#x} has bits outside the low {N}"
-        )
 
 
 def check_enumeration_budget(params: ModelParams, workers: int = 1) -> None:

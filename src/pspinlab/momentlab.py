@@ -40,7 +40,7 @@ import numpy as np
 
 from .covariance import covariance_numerator
 from .errors import (IdentityCheckError, InvalidParametersError, ResourceLimitError, check_beta,
-                     check_budget, check_count)
+                     check_budget, check_count, check_sizes)
 from .model import j_term, partition_and_power_sums
 from .multiindex import (
     Disorder,
@@ -219,23 +219,16 @@ def pair_plan(N: int, p: int) -> tuple:
     return blocks, masks
 
 
-def _closed_form_binom(N: int, p: int) -> int:
-    # closed forms never enumerate configurations, so N is not capped at
-    # the 64-bit bound the sampling structures enforce
-    if not isinstance(N, int) or not isinstance(p, int):
-        raise InvalidParametersError("N and p must be integers")
-    if p < 2 or N < p:
-        raise InvalidParametersError(f"need 2 <= p <= N, got p={p}, N={N}")
-    return math.comb(N, p)
-
-
 def exact_first_moment(N: int, p: int, beta: float) -> float:
     """Closed-form disorder mean of the deflated partition function.
 
     E[Z_N e^{-N J_N}] = exp(binom(N,p) [t/(2(1+t)) - ln(1+t)/2]) with
     t = beta^2 a_N^2; evaluated in log domain.
     """
-    n = _closed_form_binom(N, p)
+    # closed forms never enumerate configurations, so N is not capped at
+    # the 64-bit bound the sampling structures enforce
+    check_sizes(N, p, min_p=2)
+    n = math.comb(N, p)
     check_beta(beta)
     t = beta * beta * (N / n)
     ln_val = n * (t / (2.0 * (1.0 + t)) - 0.5 * math.log1p(t))
@@ -244,7 +237,8 @@ def exact_first_moment(N: int, p: int, beta: float) -> float:
 
 def j_mgf(N: int, p: int, beta: float, q: float) -> float:
     """E[e^{-q N J_N}] = (1 + q beta^2 a_N^2)^{-binom(N,p)/2}, log domain."""
-    n = _closed_form_binom(N, p)
+    check_sizes(N, p, min_p=2)
+    n = math.comb(N, p)
     check_beta(beta)
     t = q * beta * beta * (N / n)
     if t <= -1.0:
@@ -330,10 +324,8 @@ def pair_moment_paths(N: int, p: int, k: int):
     two enumerates subsets at each disagreement count, once per (N, p).
     Returns a pair of Fractions for bit-exact comparison.
     """
-    if k not in (1, 2, 3, 4):
-        raise InvalidParametersError(f"moment order k={k} must be in 1..4")
-    if p < 1 or N < p:
-        raise InvalidParametersError(f"need 1 <= p <= N, got p={p}, N={N}")
+    check_count(k, "k", 1, 4)
+    check_sizes(N, p)
     if N > BRUTE_PAIR_N:
         raise ResourceLimitError(f"brute-force pair moments capped at N={BRUTE_PAIR_N}")
     grid_total = 0

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from .errors import DataError, InvalidParametersError, check_beta, check_budget
+from .errors import DataError, check_beta, check_budget, check_count, check_sizes
 
 _MASK64 = (1 << 64) - 1
 
@@ -53,9 +53,7 @@ def check_seed(seed: int) -> int:
 
     A bool is refused: ``True`` would run as seed 1.
     """
-    if isinstance(seed, bool) or not (isinstance(seed, int) and 0 <= seed <= _MASK64):
-        raise InvalidParametersError(f"seed {seed!r} is not an integer in [0, 2^64)")
-    return seed
+    return check_count(seed, "seed", 0, _MASK64)
 
 
 def derive_seed(*words: int) -> int:
@@ -88,14 +86,7 @@ class ModelParams:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.N, int) or not isinstance(self.p, int):
-            raise InvalidParametersError("N and p must be integers")
-        if self.p < 2:
-            raise InvalidParametersError(f"interaction order p={self.p} must be >= 2")
-        if self.N < self.p:
-            raise InvalidParametersError(f"system size N={self.N} must be >= p={self.p}")
-        if self.N > 64:
-            raise InvalidParametersError(f"N={self.N} exceeds the 64-bit configuration bound")
+        check_sizes(self.N, self.p, min_p=2, max_n=64)
         check_beta(self.beta)
 
     @property
@@ -137,7 +128,7 @@ def mask_table(N: int, p: int) -> np.ndarray:
     Ascending numeric order makes ``np.searchsorted`` a rank lookup.  The
     last two results are cached, read-only; callers share one per (N, p).
     """
-    _check_np(N, p)
+    check_sizes(N, p, max_n=64)
     return _mask_table_cached(N, p)
 
 
@@ -195,13 +186,3 @@ def sample_disorder(params: ModelParams, seed: int) -> Disorder:
     check_coupling_budget(params.N, params.p)
     raw = philox_words(seed, params.n_couplings)
     return Disorder(params=params, seed=seed, couplings=_raw_to_normal(raw))
-
-
-def _check_np(N: int, p: int) -> None:
-    if not isinstance(N, int) or not isinstance(p, int):
-        raise InvalidParametersError("N and p must be integers")
-    if p < 1 or p > N:
-        raise InvalidParametersError(f"need 1 <= p <= N, got p={p}, N={N}")
-    if N > 64:
-        raise InvalidParametersError(f"N={N} exceeds the 64-bit configuration bound")
-

@@ -179,9 +179,7 @@ def beta_p(p: int) -> float:
     rounding and the computed value can cross the m -> 1 limit 2 ln 2.
     By convention beta_2 = 1.
     """
-    if check_count(p, "p") < 2:
-        raise InvalidParametersError(f"p={p} must be >= 2")
-    if p == 2:
+    if check_count(p, "p", 2) == 2:
         return 1.0
     t_grid = np.linspace(math.log(_LAYER_LO), math.log(1.0 - _BRACKET_LO), _GRID_POINTS)
     i = int(np.argmin(_excess_grid(np.exp(t_grid), p)))
@@ -216,8 +214,7 @@ def gaussian_moment(poly: MomentPolynomial, r: int, method: str = "exact") -> fl
     ``method="quadrature"`` uses Gauss-Hermite nodes, enough of them that
     the polynomial integrand is integrated exactly up to rounding.
     """
-    if r not in (1, 2, 3, 4):
-        raise InvalidParametersError(f"moment order r={r} must be in 1..4")
+    check_count(r, "r", 1, 4)
     if poly.degree * r > 64:
         raise InvalidParametersError(
             f"degree {poly.degree} * r={r} exceeds the 64 cap"
@@ -253,8 +250,7 @@ def _convolve(a: list, b: list) -> list:
 
 def a_exponent(p: int) -> float:
     """a in A_N = N^a, the fine scale A_N/N: 3p/4 - 1/2 for even p, p - 1 for odd p."""
-    if check_count(p, "p") < 3:
-        raise InvalidParametersError(f"p={p} must be >= 3")
+    check_count(p, "p", 3)
     return 0.75 * p - 0.5 if p % 2 == 0 else float(p - 1)
 
 
@@ -266,28 +262,32 @@ def hermite_moment(p: int, r: int) -> int:
     with itself through E[He_a He_b] = a! [a = b].
     """
     check_count(p, "p")
-    if r == 3:
+    if check_count(r, "r", 3, 4) == 3:
         return 0 if p % 2 else math.factorial(p) ** 3 // math.factorial(p // 2) ** 3
-    if r == 4:
-        return sum((math.factorial(k) * math.comb(p, k) ** 2) ** 2 * math.factorial(2 * p - 2 * k)
-                   for k in range(p + 1))
-    raise InvalidParametersError(f"moment order r={r} must be 3 or 4")
+    return sum((math.factorial(k) * math.comb(p, k) ** 2) ** 2 * math.factorial(2 * p - 2 * k)
+               for k in range(p + 1))
 
 
 def limit_constants(beta: float, p: int) -> LimitConstants:
     """All fine-scale constants for one (beta, p), the moment from ``hermite_moment``.
 
-    Finite for every p <= 64 at moderate beta; a large beta overflows, to
-    OverflowError or to inf.
+    Finite for every p <= 80 at moderate beta.  From p = 81 at odd p and
+    p = 108 at even p the moment exceeds the largest double: a
+    NumericalError.  A large beta overflows beta**k, to OverflowError or to inf.
     """
     a = a_exponent(p)
     check_beta(beta)
     fact = math.factorial(p)
-    if p % 2 == 0:
+    r = 3 if p % 2 == 0 else 4
+    try:
+        moment = float(hermite_moment(p, r))
+    except OverflowError:
+        raise NumericalError(f"E[He_p^{r}] at p={p} exceeds the largest double") from None
+    if r == 3:
         mu = 0.0
-        sigma2 = beta**6 / 3.0 * float(hermite_moment(p, 3))
+        sigma2 = beta**6 / 3.0 * moment
     else:
-        base = float(hermite_moment(p, 4)) / 12.0 - fact**2 / 8.0
+        base = moment / 12.0 - fact**2 / 8.0
         mu = -(beta**4) * fact / 4.0
         sigma2 = beta**8 * base
     return LimitConstants(

@@ -9,17 +9,26 @@ from hypothesis import strategies as st
 
 from pspinlab import (
     InvalidParametersError,
+    ModelParams,
     MomentPolynomial,
     covariance_numerator,
     d_coefficient,
     exact_covariance,
     expansion_approx,
+    gaussian_field,
+    gaussian_moment,
     hermite,
     hermite_scaling_gap,
+    mask_table,
     overlap_grid,
     overlap_pmf,
     overlap_pmf_gaussian,
+    pair_moment_paths,
+    pair_statistic_moment,
+    sample_disorder,
+    tabulate_covariance,
 )
+from pspinlab.multiindex import check_seed
 
 from _oracles import expansion_deviation, gaussian_pmf_error
 
@@ -143,10 +152,39 @@ def test_hermite_scaling_gap_halves_with_doubling():
 
 def test_n_p_range_refused_before_dividing():
     # N = 0 used to divide by zero in hermite_scaling_gap, N = 2.5 to fail in range()
-    for N, p in ((0, 3), (2.5, 3), (5, 0), (3, 4)):
-        for call in (hermite_scaling_gap, expansion_approx):
+    for N, p in ((0, 3), (2.5, 3), (3.5, 3), (5, 0), (3, 4)):
+        for call in (lambda N, p, m: hermite_scaling_gap(N, p), expansion_approx):
             with pytest.raises(InvalidParametersError, match="1 <= p <= N"):
                 call(N, p, 0.5)
+
+
+def test_non_integer_sizes_orders_and_seeds_refused():
+    # a float, a bool or 0 where an integer size, order, count or seed is due is
+    # refused by errors.check_count or check_sizes, not met by a bare TypeError
+    # from range() or answered with a value
+    d = sample_disorder(ModelParams(N=8, p=3), 1)
+    calls = (
+        lambda: hermite_scaling_gap(3.5, 3),
+        lambda: exact_covariance(12, 3.0, 1),
+        lambda: covariance_numerator(12, 3, 1.5),
+        lambda: overlap_grid(2.5),
+        lambda: hermite(2.5),
+        lambda: d_coefficient(3.5, 1),
+        lambda: tabulate_covariance(8.5, 3),
+        lambda: pair_moment_paths(12, 3.5, 2),
+        lambda: pair_statistic_moment(8, 3, 2.0),
+        lambda: gaussian_moment(hermite(3), 2.0),
+        lambda: expansion_approx(12.5, 3, 0.1),
+        lambda: overlap_pmf(0, 0.0),
+        lambda: overlap_grid(True),
+        lambda: mask_table(12, True),
+        lambda: ModelParams(N=12.0, p=3),
+        lambda: check_seed(2.0),
+        lambda: gaussian_field(2.5, d),
+    )
+    for call in calls:
+        with pytest.raises(InvalidParametersError):
+            call()
 
 
 def test_overlap_grid_shape():

@@ -106,6 +106,27 @@ def test_no_scipy_solvers_at_run_time():
     assert {name: hits for name, hits in offenders.items() if hits} == {}
 
 
+def int_checks(source: str) -> list:
+    """Lines of every ``isinstance(x, int)`` call, ``int`` alone or in a tuple."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(isinstance(k, ast.Name) and k.id == "int" for k in kinds):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_integer_arguments_checked_only_in_errors():
+    # errors.check_count and check_sizes are the one rule; a hand-written copy
+    # drifts, and several let a float or a bool through
+    assert int_checks("isinstance(a, int)\nisinstance(b, (bool, int))\nisinstance(c, float)\n") == [1, 2]
+    offenders = {p.name: int_checks(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
+                 if p.name != "errors.py"}
+    assert {name: hits for name, hits in offenders.items() if hits} == {}
+
+
 def test_runs_load_no_scipy_solvers(tmp_path):
     script = """
 import sys

@@ -184,6 +184,13 @@ def test_limit_constants_guards():
         hermite_moment(3, 2)
 
 
+def test_limit_constants_moment_overflow_is_numerical_error():
+    # float(E[He_81^4]) raised a bare OverflowError; p = 79 still fits a double
+    assert math.isfinite(limit_constants(0.5, 79).sigma2)
+    with pytest.raises(NumericalError, match="p=81"):
+        limit_constants(0.5, 81)
+
+
 def test_closed_forms_refuse_beta_outside_model_rule():
     # the ModelParams rule, finite and >= 0: NaN gave nan, -1 gave 3.0, inf gave inf
     d = sample_disorder(ModelParams(N=8, p=3), 1)
