@@ -169,10 +169,6 @@ def main(argv: Optional[list] = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _DISPATCH[args.command](args)
-    except OverflowError as exc:
-        # beta**k of a huge beta; N <= 64 keeps every other power in range
-        print(f"error: numerical overflow: {exc}", file=sys.stderr)
-        return 1
     except (PspinError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ResourceLimitError):

@@ -50,6 +50,8 @@ class MomentPolynomial:
 
     def __post_init__(self) -> None:
         coeffs = tuple(float(c) for c in self.coefficients)
+        if not all(math.isfinite(c) for c in coeffs):
+            raise InvalidParametersError(f"coefficients {coeffs} must be finite")
         while len(coeffs) > 1 and coeffs[-1] == 0.0:
             coeffs = coeffs[:-1]
         if len(coeffs) - 1 > 64:
@@ -129,6 +131,7 @@ def exact_covariance(N: int, p: int, k_disagree: int) -> float:
 def expansion_approx(N: int, p: int, m: float) -> float:
     """Truncated expansion sum_k d_{p-2k} N^{-k} m^{p-2k} of f_{p,N}(m)."""
     check_sizes(N, p)
+    _check_overlap(m)
     acc = 0.0
     for k in range(p // 2 + 1):
         acc += d_coefficient(p, k) * float(N) ** (-k) * m ** (p - 2 * k)
@@ -162,10 +165,16 @@ def overlap_grid(N: int) -> OverlapGrid:
     return OverlapGrid(N=N, values=tuple(-1.0 + 2.0 * j / N for j in range(N + 1)))
 
 
+def _check_overlap(m) -> None:
+    if not -1.0 <= m <= 1.0:  # NaN included
+        raise InvalidParametersError(f"m={m} must be an overlap in [-1, 1]")
+
+
 def _grid_point_to_count(N: int, m: float) -> int:
+    _check_overlap(m)
     j = (1.0 + m) * N / 2.0
     j_int = round(j)
-    if not (0 <= j_int <= N) or abs(j - j_int) > 1e-9 * max(1, N):
+    if abs(j - j_int) > 1e-9 * max(1, N):
         raise InvalidParametersError(f"m={m} is not on the overlap grid for N={N}")
     return j_int
 
@@ -191,4 +200,5 @@ def overlap_pmf_gaussian(N: int, m: float) -> float:
     approximation on the spacing-2/N grid (it sums to 1 + O(1/N)).
     """
     check_count(N, "N")
+    _check_overlap(m)
     return 2.0 / math.sqrt(2.0 * math.pi * N) * math.exp(-N * m * m / 2.0)

@@ -2,7 +2,8 @@
 
 ``check_count`` is the one test of an integer argument in range: a size, an
 order, a replica, sample or thread count, a seed; ``check_sizes`` applies it
-to a pair N, p.  ``check_beta`` is the one test of an inverse temperature.
+to a pair N, p.  ``check_beta`` is the one test of an inverse temperature,
+``beta_power`` the one power of it that may overflow a double.
 ``check_budget`` is the one memory refusal: each guarded allocation states
 its bytes and is refused past ``BYTE_BUDGET``.  ``write_atomic`` is the one
 way a text file is written: a per-process temp file renamed over the
@@ -53,6 +54,15 @@ def check_beta(beta) -> None:
     """Refuse an inverse temperature unless it is finite and >= 0: NaN and inf included."""
     if not (0.0 <= beta < math.inf):
         raise InvalidParametersError(f"beta={beta} must be finite and >= 0")
+
+
+def beta_power(beta: float, k: int) -> float:
+    """beta**k; past the largest double a NumericalError, not a bare OverflowError."""
+    try:
+        return beta**k
+    except OverflowError:
+        raise NumericalError(f"numerical overflow: beta**{k} at beta={beta!r} "
+                             f"exceeds the largest double") from None
 
 
 # The memory budget of each guarded allocation, a quarter of an 8 GB machine.

@@ -27,9 +27,9 @@ yields ln Z_N together with the sums of X^2, X^3, X^4 the quenched moments
 need, reducing each chunk in 2^16-state slices that stay in cache.  By
 default it folds on the global-flip symmetry X(~s) = (-1)^p X(s): only the
 half-space with the top spin up is transformed, and the mirrored half
-enters through cosh(y) (p odd) or a factor 2 (p even).  A bound on |y| from
-the couplings decides once per pass whether the sum of e^y could overflow;
-only then is it kept in log domain with a running maximum.  Unfolded, it
+enters through cosh(y) (p odd) or a factor 2 (p even).  The sum of e^y is
+taken as it stands; only if it overflows is ln Z_N computed again, in log
+domain with a running maximum over the unfolded table.  Unfolded, it
 sums the full 2^N table, so for odd p the vanishing of the X^3 sum is a
 genuine cancellation.  The fold is checked against the unfolded sum in
 the test suite; :func:`log_partition` and :func:`free_energy` are thin
@@ -379,12 +379,10 @@ def partition_and_power_sums(disorder: Disorder, beta: float, half: bool = True)
     e^y as 2 cosh(y) for odd p and as 2 e^y for even p.  Without it the full
     table is summed as it stands.
 
-    |y| is at most B = beta sqrt(N) sum_A |J_A| / sqrt(binom(N,p)).  When
-    B + N ln 2 is below the log of the largest double, no sum of e^y or
-    cosh(y) can overflow and, X having mean 0, each is at least 1: they are
-    summed as they stand.  Otherwise ln Z_N is accumulated in log domain
-    with a running maximum, safe for beta sqrt(N) max|X| up to the exp
-    overflow threshold.
+    The sum of e^y or cosh(y), times the fold factor, is taken as it stands;
+    X having mean 0, it is at least 1.  Only if it overflows to inf is ln Z_N
+    computed again by a second pass over the unfolded table, in log domain
+    with a running maximum; the power sums are kept from the first pass.
     """
     params = disorder.params
     check_beta(beta)
@@ -392,10 +390,8 @@ def partition_and_power_sums(disorder: Disorder, beta: float, half: bool = True)
         raise DataError("non-finite coupling encountered")
     scale = beta * math.sqrt(params.N)
     mirror_odd = half and params.p % 2 == 1
-    bound = scale * float(np.abs(disorder.couplings).sum()) / math.sqrt(params.n_couplings)
-    direct = bound + params.N * math.log(2.0) < math.log(np.finfo(float).max)
-    running_max = 0.0 if direct else -math.inf
     term = np.cosh if mirror_odd else np.exp  # cosh(y): a state and its mirror, halved
+    fold = 2.0 if half else 1.0
     acc = s2 = s3 = s4 = 0.0
     buf = None  # allocated by the first slice, reused by the rest
     for table in field_chunks(disorder, half=half):
@@ -407,27 +403,27 @@ def partition_and_power_sums(disorder: Disorder, beta: float, half: bool = True)
             if not mirror_odd:
                 s3 += float(np.einsum("i,i->", buf, x))
             s4 += float(np.einsum("i,i->", buf, buf))
+            with np.errstate(over="ignore", under="ignore"):  # an inf sum is retried below
+                acc += float(term(np.multiply(x, scale, out=x), out=buf).sum())
+        del table, x  # before field_chunks builds the next chunk
+    acc *= fold
+    # the fold before the test: twice a finite half sum can still overflow
+    log_z = math.log(acc) if acc < math.inf else _log_sum_exp(disorder, scale)
+    return log_z - params.N * math.log(2.0), fold * s2, fold * s3, fold * s4
+
+
+def _log_sum_exp(disorder: Disorder, scale: float) -> float:
+    """ln of the sum of e^{scale X} over the unfolded table, shifted by the running maximum."""
+    peak, acc = -math.inf, 0.0
+    for table in field_chunks(disorder):
+        for x in table.reshape(-1, min(table.size, 1 << _FWHT_BLOCK_BITS)):
             y = np.multiply(x, scale, out=x)
-            if direct:
-                acc += float(term(y, out=buf).sum())
-                continue
-            for part in range(2 if mirror_odd else 1):
-                # the mirrored half is -y; (-m) - y rounds as (-y) - m, so no negated copy
-                m = -float(y.min()) if part else float(y.max())
-                if m > running_max:
-                    acc *= math.exp(running_max - m)
-                    running_max = m
-                if part:
-                    np.subtract(-m, y, out=buf)
-                else:
-                    np.subtract(y, m, out=buf)
-                acc += float(np.exp(buf, out=buf).sum()) * math.exp(m - running_max)
-        del table, x, y  # before field_chunks builds the next chunk
-    fold = 2.0 if half else 1.0
-    if direct or not mirror_odd:
-        acc *= fold
-    log_z = running_max + math.log(acc) - params.N * math.log(2.0)
-    return log_z, fold * s2, fold * s3, fold * s4
+            shift = max(peak, float(y.max()))
+            with np.errstate(over="ignore", under="ignore"):  # far below the maximum: 0
+                total = float(np.exp(np.subtract(y, shift, out=y), out=y).sum())
+            acc, peak = acc * math.exp(peak - shift) + total, shift
+        del table, x, y
+    return peak + math.log(acc)
 
 
 def log_partition(disorder: Disorder, beta: float) -> float:

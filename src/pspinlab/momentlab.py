@@ -39,8 +39,8 @@ from functools import lru_cache
 import numpy as np
 
 from .covariance import covariance_numerator
-from .errors import (IdentityCheckError, InvalidParametersError, ResourceLimitError, check_beta,
-                     check_budget, check_count, check_sizes)
+from .errors import (IdentityCheckError, InvalidParametersError, NumericalError, ResourceLimitError,
+                     beta_power, check_beta, check_budget, check_count, check_sizes)
 from .model import j_term, partition_and_power_sums
 from .multiindex import (
     Disorder,
@@ -128,9 +128,9 @@ def _moments_from_sums(disorder: Disorder, beta: float, s2, s3, s4) -> QuenchedM
     h4 = -(m2 * m2) / 8.0 + m4 / 24.0 + a4 / 12.0 * j4_sum
     t_value = (
         1.0
-        - beta**4 * (m2 * m2) / 8.0
-        - beta**3 * m3 / 6.0
-        + beta**4 * m4 / 24.0
+        - beta_power(beta, 4) * (m2 * m2) / 8.0
+        - beta_power(beta, 3) * m3 / 6.0
+        + beta_power(beta, 4) * m4 / 24.0
     )
     return QuenchedMoments(m2=m2, m3=m3, m4=m4, h4=h4, j4_sum=j4_sum, t_value=t_value)
 
@@ -231,6 +231,9 @@ def exact_first_moment(N: int, p: int, beta: float) -> float:
     n = math.comb(N, p)
     check_beta(beta)
     t = beta * beta * (N / n)
+    if t == math.inf:
+        raise NumericalError(f"numerical overflow: beta^2 a_N^2 at beta={beta!r} "
+                             f"exceeds the largest double")
     ln_val = n * (t / (2.0 * (1.0 + t)) - 0.5 * math.log1p(t))
     return math.exp(ln_val)
 
@@ -241,7 +244,7 @@ def j_mgf(N: int, p: int, beta: float, q: float) -> float:
     n = math.comb(N, p)
     check_beta(beta)
     t = q * beta * beta * (N / n)
-    if t <= -1.0:
+    if not t > -1.0:  # NaN included
         raise InvalidParametersError(
             f"q beta^2 a_N^2 = {t} is outside the domain (> -1 required)"
         )

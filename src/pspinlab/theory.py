@@ -32,7 +32,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.polynomial import polyval
 
 from .covariance import MomentPolynomial
-from .errors import InvalidParametersError, NumericalError, check_beta, check_count
+from .errors import InvalidParametersError, NumericalError, beta_power, check_beta, check_count
 
 __all__ = [
     "LimitConstants",
@@ -198,7 +198,7 @@ def clt_variance(beta: float, p: int) -> float:
     """Variance beta^4 p!/2 of the leading-scale Gaussian limit."""
     check_count(p, "p")
     check_beta(beta)
-    return beta**4 * math.factorial(p) / 2.0
+    return beta_power(beta, 4) * math.factorial(p) / 2.0
 
 
 def _double_factorial_odd(m: int) -> int:
@@ -273,7 +273,8 @@ def limit_constants(beta: float, p: int) -> LimitConstants:
 
     Finite for every p <= 80 at moderate beta.  From p = 81 at odd p and
     p = 108 at even p the moment exceeds the largest double: a
-    NumericalError.  A large beta overflows beta**k, to OverflowError or to inf.
+    NumericalError, and so is a power of beta past it; a finite power times
+    the moment can still overflow to inf.
     """
     a = a_exponent(p)
     check_beta(beta)
@@ -285,11 +286,11 @@ def limit_constants(beta: float, p: int) -> LimitConstants:
         raise NumericalError(f"E[He_p^{r}] at p={p} exceeds the largest double") from None
     if r == 3:
         mu = 0.0
-        sigma2 = beta**6 / 3.0 * moment
+        sigma2 = beta_power(beta, 6) / 3.0 * moment
     else:
         base = moment / 12.0 - fact**2 / 8.0
-        mu = -(beta**4) * fact / 4.0
-        sigma2 = beta**8 * base
+        mu = -beta_power(beta, 4) * fact / 4.0
+        sigma2 = beta_power(beta, 8) * base
     return LimitConstants(
         clt_variance=clt_variance(beta, p),
         mu=mu,

@@ -11,14 +11,17 @@ from pspinlab import (
     InvalidParametersError,
     ModelParams,
     MomentPolynomial,
+    PspinError,
     covariance_numerator,
     d_coefficient,
     exact_covariance,
+    exact_first_moment,
     expansion_approx,
     gaussian_field,
     gaussian_moment,
     hermite,
     hermite_scaling_gap,
+    j_mgf,
     mask_table,
     overlap_grid,
     overlap_pmf,
@@ -184,6 +187,23 @@ def test_non_integer_sizes_orders_and_seeds_refused():
     )
     for call in calls:
         with pytest.raises(InvalidParametersError):
+            call()
+
+
+def test_non_finite_arguments_refused():
+    # a NaN or inf argument, or a beta whose square overflows, ends in a
+    # PspinError; each call's old result is on its right
+    calls = (
+        lambda: overlap_pmf(10, math.nan),  # bare ValueError from round()
+        lambda: overlap_pmf(10, math.inf),  # bare OverflowError from round()
+        lambda: gaussian_moment(MomentPolynomial((math.inf, 1.0)), 2),  # bare OverflowError
+        lambda: overlap_pmf_gaussian(10, math.nan),  # nan
+        lambda: expansion_approx(12, 3, math.nan),  # nan
+        lambda: j_mgf(8, 3, 0.5, math.nan),  # nan
+        lambda: exact_first_moment(8, 3, 1e200),  # nan
+    )
+    for call in calls:
+        with pytest.raises(PspinError):
             call()
 
 

@@ -127,6 +127,26 @@ def test_integer_arguments_checked_only_in_errors():
     assert {name: hits for name, hits in offenders.items() if hits} == {}
 
 
+def silenced_errors(source: str) -> list:
+    """(line, keyword) for every ``errstate`` setting other than over- or underflow."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "errstate"):
+            found += [(node.lineno, kw.arg) for kw in node.keywords if kw.arg not in ("over", "under")]
+    return found
+
+
+def test_errstate_sets_only_over_and_underflow():
+    # an ignored overflow is retried or tested for inf; a NaN from bad
+    # arithmetic (invalid, divide) must never be hidden
+    source = ("np.errstate(over='ignore', under='ignore')\nnp.errstate(all='ignore')\n"
+              "np.errstate(invalid='ignore', divide='ignore')\nnp.errstate(**kw)\n")
+    assert silenced_errors(source) == [(2, "all"), (3, "invalid"), (3, "divide"), (4, None)]
+    offenders = {p.name: silenced_errors(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in offenders.items() if hits} == {}
+
+
 def test_runs_load_no_scipy_solvers(tmp_path):
     script = """
 import sys

@@ -373,9 +373,9 @@ def gate_beta(d):
 
 
 def test_pass_matches_logsumexp_on_both_routes():
-    # below the gate e^y (full table, even fold) and cosh(y) (odd fold) are
-    # summed as they stand; at (10, 3) beta = 300 is past it, where they would
-    # overflow and only the running-max fallback stays finite
+    # e^y (full table, even fold) and cosh(y) (odd fold) are summed as they
+    # stand; at (10, 3) beta = 300, far past the gate, they overflow and only
+    # the running-max fallback stays finite
     from scipy.special import logsumexp
 
     for N, p, beta in ((12, 3, 0.7), (14, 4, 0.7), (10, 3, 300.0)):
@@ -390,8 +390,9 @@ def test_pass_matches_logsumexp_on_both_routes():
 
 
 def test_pass_near_the_gate_raises_no_floating_point_error():
-    # just below the gate the largest sums come closest to overflow; just
-    # above it the fallback takes over.  Neither over- nor underflows
+    # the direct sum is tried on both sides of the gate, where the
+    # coupling-norm bound once switched to the fallback.  Neither over- nor
+    # underflows
     from scipy.special import logsumexp
 
     for N, p in ((10, 3), (10, 4)):
@@ -402,6 +403,55 @@ def test_pass_near_the_gate_raises_no_floating_point_error():
             with np.errstate(all="raise"):
                 got = [partition_and_power_sums(d, beta, half=half)[0] for half in (True, False)]
             assert got == pytest.approx([expected, expected], rel=1e-12)
+
+
+def expected_log_z(d, beta):
+    from scipy.special import logsumexp
+
+    table = field_table(d, half=False)
+    return float(logsumexp(beta * math.sqrt(d.params.N) * table)) - d.params.N * math.log(2.0)
+
+
+def test_subcritical_high_p_passes_sum_directly(monkeypatch):
+    # below beta_8 = 1.174 and beta_9 = 1.176 max|y| is about 21, far from
+    # overflow, though the coupling-norm bound was 1,266 and 819 there
+    def no_fallback(disorder, scale):
+        raise AssertionError("the log-domain fallback ran")
+
+    monkeypatch.setattr(model, "_log_sum_exp", no_fallback)
+    for N, p, beta in ((20, 8, 1.0), (18, 9, 1.1)):
+        d = sample_disorder(ModelParams(N=N, p=p), 1)
+        expected = expected_log_z(d, beta)
+        for half in (True, False):
+            assert partition_and_power_sums(d, beta, half=half)[0] == pytest.approx(expected, rel=1e-12)
+
+
+def test_folded_sum_overflow_takes_the_fallback(monkeypatch):
+    # max y = 709.5: e^709.5 is finite, but the state and its mirror, 2 e^709.5, are not
+    calls = []
+    fallback = model._log_sum_exp
+
+    def counted(disorder, scale):
+        calls.append(scale)
+        return fallback(disorder, scale)
+
+    monkeypatch.setattr(model, "_log_sum_exp", counted)
+    d = sample_disorder(ModelParams(N=10, p=4), 7)
+    beta = 709.5 / (math.sqrt(10) * float(field_table(d).max()))
+    expected = expected_log_z(d, beta)
+    for half in (True, False):
+        assert partition_and_power_sums(d, beta, half=half)[0] == pytest.approx(expected, rel=1e-12)
+    assert len(calls) == 2
+
+
+def test_fallback_raises_no_floating_point_error():
+    # at beta = 300 the fallback's e^{y - max} underflows for most states
+    d = sample_disorder(ModelParams(N=10, p=3), 100)
+    expected = expected_log_z(d, 300.0)
+    for half in (True, False):
+        with np.errstate(all="raise"):
+            log_z = partition_and_power_sums(d, 300.0, half=half)[0]
+        assert log_z == pytest.approx(expected, rel=1e-12)
 
 
 def test_log_partition_zero_beta():

@@ -9,6 +9,7 @@ from pspinlab import (
     ModelParams,
     beta_p,
     clt_variance,
+    free_energy_and_moments,
     gaussian_moment,
     hermite,
     j_term,
@@ -189,6 +190,15 @@ def test_limit_constants_moment_overflow_is_numerical_error():
     assert math.isfinite(limit_constants(0.5, 79).sigma2)
     with pytest.raises(NumericalError, match="p=81"):
         limit_constants(0.5, 81)
+
+
+def test_beta_power_overflow_is_numerical_error():
+    # beta**k raised a bare OverflowError in each of these
+    d = sample_disorder(ModelParams(N=8, p=3), 1)
+    for call in (lambda: clt_variance(1e100, 3), lambda: limit_constants(1e80, 3),
+                 lambda: limit_constants(1e80, 4), lambda: free_energy_and_moments(d, 1e80)):
+        with pytest.raises(NumericalError, match="overflow"):
+            call()
 
 
 def test_closed_forms_refuse_beta_outside_model_rule():
