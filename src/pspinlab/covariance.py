@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParametersError, check_count, check_sizes
+from .errors import InvalidParametersError, check_count, check_sizes, finite_double
 
 __all__ = [
     "MomentPolynomial",
@@ -132,9 +132,10 @@ def expansion_approx(N: int, p: int, m: float) -> float:
     """Truncated expansion sum_k d_{p-2k} N^{-k} m^{p-2k} of f_{p,N}(m)."""
     check_sizes(N, p)
     _check_overlap(m)
+    n = finite_double(N, "N")
     acc = 0.0
     for k in range(p // 2 + 1):
-        acc += d_coefficient(p, k) * float(N) ** (-k) * m ** (p - 2 * k)
+        acc += d_coefficient(p, k) * n ** (-k) * m ** (p - 2 * k)
     return acc
 
 

@@ -3,7 +3,9 @@
 ``check_count`` is the one test of an integer argument in range: a size, an
 order, a replica, sample or thread count, a seed; ``check_sizes`` applies it
 to a pair N, p.  ``check_beta`` is the one test of an inverse temperature,
-``beta_power`` the one power of it that may overflow a double.
+``beta_power`` the one power of it that may overflow a double, and
+``finite_double`` the one conversion of a huge integer or an overflowed
+result to a double.
 ``check_budget`` is the one memory refusal: each guarded allocation states
 its bytes and is refused past ``BYTE_BUDGET``.  ``write_atomic`` is the one
 way a text file is written: a per-process temp file renamed over the
@@ -63,6 +65,17 @@ def beta_power(beta: float, k: int) -> float:
     except OverflowError:
         raise NumericalError(f"numerical overflow: beta**{k} at beta={beta!r} "
                              f"exceeds the largest double") from None
+
+
+def finite_double(value, what: str) -> float:
+    """``value`` as a finite float; one that is not (a huge int included) is a NumericalError."""
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not abs(x) < math.inf:
+        raise NumericalError(f"numerical overflow: {what} exceeds the largest double")
+    return x
 
 
 # The memory budget of each guarded allocation, a quarter of an 8 GB machine.

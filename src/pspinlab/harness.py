@@ -242,6 +242,10 @@ def summarize(
         raise InvalidParametersError(
             f"target_variance={target_variance} must be positive"
         )
+    if not (math.isfinite(target_mean) and math.isfinite(target_variance)
+            and np.all(np.isfinite(x))):
+        raise NumericalError(f"a sample or the target (mean {target_mean}, variance "
+                             f"{target_variance}) is not finite")
     mean = float(x.mean())
     centered = x - mean
     # einsum, not np.dot: a long BLAS dot splits its sum by thread count

@@ -44,7 +44,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DataError, ResourceLimitError, check_beta, check_budget, check_count
+from .errors import (DataError, ResourceLimitError, check_beta, check_budget, check_count,
+                     finite_double)
 from .multiindex import Disorder, ModelParams, mask_table
 
 __all__ = [
@@ -382,7 +383,8 @@ def partition_and_power_sums(disorder: Disorder, beta: float, half: bool = True)
     The sum of e^y or cosh(y), times the fold factor, is taken as it stands;
     X having mean 0, it is at least 1.  Only if it overflows to inf is ln Z_N
     computed again by a second pass over the unfolded table, in log domain
-    with a running maximum; the power sums are kept from the first pass.
+    with a running maximum, a NumericalError if that maximum overflows; the
+    power sums are kept from the first pass.
     """
     params = disorder.params
     check_beta(beta)
@@ -418,7 +420,8 @@ def _log_sum_exp(disorder: Disorder, scale: float) -> float:
     for table in field_chunks(disorder):
         for x in table.reshape(-1, min(table.size, 1 << _FWHT_BLOCK_BITS)):
             y = np.multiply(x, scale, out=x)
-            shift = max(peak, float(y.max()))
+            # refused past the largest double, or the shift below is inf - inf
+            shift = max(peak, finite_double(y.max(), "beta sqrt(N) X"))
             with np.errstate(over="ignore", under="ignore"):  # far below the maximum: 0
                 total = float(np.exp(np.subtract(y, shift, out=y), out=y).sum())
             acc, peak = acc * math.exp(peak - shift) + total, shift
@@ -444,7 +447,7 @@ def j_term(disorder: Disorder, beta: float) -> float:
     check_beta(beta)
     # einsum, not np.dot: a long BLAS dot splits by thread count, threads spin
     j2 = float(np.einsum("i,i->", disorder.couplings, disorder.couplings))
-    return beta * beta * j2 / (2.0 * disorder.params.n_couplings)
+    return finite_double(beta * beta * j2 / (2.0 * disorder.params.n_couplings), "J_N")
 
 
 def _signs(masks: np.ndarray, bits: int) -> np.ndarray:

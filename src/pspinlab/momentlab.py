@@ -39,8 +39,8 @@ from functools import lru_cache
 import numpy as np
 
 from .covariance import covariance_numerator
-from .errors import (IdentityCheckError, InvalidParametersError, NumericalError, ResourceLimitError,
-                     beta_power, check_beta, check_budget, check_count, check_sizes)
+from .errors import (IdentityCheckError, InvalidParametersError, ResourceLimitError, beta_power,
+                     check_beta, check_budget, check_count, check_sizes, finite_double)
 from .model import j_term, partition_and_power_sums
 from .multiindex import (
     Disorder,
@@ -230,11 +230,8 @@ def exact_first_moment(N: int, p: int, beta: float) -> float:
     check_sizes(N, p, min_p=2)
     n = math.comb(N, p)
     check_beta(beta)
-    t = beta * beta * (N / n)
-    if t == math.inf:
-        raise NumericalError(f"numerical overflow: beta^2 a_N^2 at beta={beta!r} "
-                             f"exceeds the largest double")
-    ln_val = n * (t / (2.0 * (1.0 + t)) - 0.5 * math.log1p(t))
+    t = finite_double(beta * beta * (N / n), f"beta^2 a_N^2 at beta={beta!r}")
+    ln_val = finite_double(n, "binom(N, p)") * (t / (2.0 * (1.0 + t)) - 0.5 * math.log1p(t))
     return math.exp(ln_val)
 
 
@@ -248,7 +245,7 @@ def j_mgf(N: int, p: int, beta: float, q: float) -> float:
         raise InvalidParametersError(
             f"q beta^2 a_N^2 = {t} is outside the domain (> -1 required)"
         )
-    return math.exp(-0.5 * n * math.log1p(t))
+    return math.exp(-0.5 * finite_double(n, "binom(N, p)") * math.log1p(t))
 
 
 def first_moment_mc(
@@ -287,7 +284,8 @@ def first_moment_mc(
         )
         # einsum, not a BLAS gemv: its sums split by thread count
         x_vals = np.einsum("si,i->s", 1.0 - 2.0 * parity, disorder.couplings) * root
-        out[r] = float(np.cosh(scale * x_vals).mean()) * math.exp(-N * j_term(disorder, beta))
+        # J_N first: an overflowed J_N is refused before cosh can overflow
+        out[r] = math.exp(-N * j_term(disorder, beta)) * float(np.cosh(scale * x_vals).mean())
     return out
 
 

@@ -17,8 +17,9 @@ E[He_p^4] = sum_k (k! binom(p,k)^2)^2 (2p-2k)! from the linearization
 He_p^2 = sum_k k! binom(p,k)^2 He_{2p-2k}; each is rounded to double once.
 ``gaussian_moment`` computes E[q(X)^r] for any polynomial q of degree <= 64
 by exact rational expansion or by Gauss-Hermite quadrature; the tests hold
-it against the closed forms.  beta_p is polished by a bounded Brent
-minimizer kept here, so scipy is needed at run time for scipy.special only.
+it against the closed forms.  beta_p is found by a golden-section search
+over the scalar excess g - 2 ln 2; scipy is needed at run time for
+scipy.special only.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.polynomial import polyval
 
 from .covariance import MomentPolynomial
-from .errors import InvalidParametersError, NumericalError, beta_power, check_beta, check_count
+from .errors import InvalidParametersError, beta_power, check_beta, check_count, finite_double
 
 __all__ = [
     "LimitConstants",
@@ -49,10 +50,10 @@ __all__ = [
 REM_BETA = math.sqrt(2.0 * math.log(2.0))
 
 _LN2 = math.log(2.0)
-_GRID_POINTS = 10_000
-_BRACKET_LO = 1e-6   # smallest magnetization kept in the scan
+_BRACKET_LO = 1e-6   # smallest magnetization searched
 _LAYER_LO = 1e-16    # deepest boundary-layer distance 1 - m resolved
-_BRENT_TOL = 1e-10   # xatol of the Brent polish, in ln(1 - m)
+_T_TOL = 1e-10       # final bracket width of the search, in ln(1 - m)
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class LimitConstants:
     alpha_exponent: float
 
 
-def _excess_objective(u: float, p: int) -> float:
+def _excess_objective(u: float, p: float) -> float:
     # g(1-u) - 2 ln 2 without cancellation.  With E = (1-u)^{-p} - 1 and
     # D = phi(1-u) - ln 2 the excess is 2D + E ln 2 + E D; both E and D are
     # O(u ln u) near u = 0, so the value stays accurate down to u ~ 1e-16.
@@ -81,124 +82,45 @@ def _excess_objective(u: float, p: int) -> float:
     return 2.0 * dev + big * (_LN2 + dev)
 
 
-def _excess_grid(u: np.ndarray, p: int) -> np.ndarray:
-    # _excess_objective over an array, for the grid scan only: numpy's
-    # log/expm1 may differ from libm's in the last bit, so the scan takes
-    # just its argmin from here
-    expo = -p * np.log1p(-u)
-    with np.errstate(over="ignore"):
-        big = np.expm1(expo)
-    dev = 0.5 * (u * np.log(u) + (2.0 - u) * np.log1p(-0.5 * u)) - 0.5 * u * _LN2
-    return np.where(expo > 700.0, np.inf, 2.0 * dev + big * (_LN2 + dev))
-
-
-def _bounded_brent(func, lo: float, hi: float, xatol: float, maxiter: int = 500) -> tuple:
-    """(x, func(x)) at a minimum of func on [lo, hi]: golden section plus parabolas.
-
-    The bounded Brent method as scipy's ``minimize_scalar(method="bounded")``
-    runs it, operation for operation, so the minimizer keeps its bits.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = func(x)
-    num = 1
-    fu = math.inf
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if abs(e) > tol1:
-            # parabola through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
-            else:
-                golden = True
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxiter:
-            raise NumericalError(f"bounded Brent did not converge in {num} evaluations")
-    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
-        raise NumericalError("bounded Brent met a NaN objective")
-    return xf, fx
-
-
 def beta_p(p: int) -> float:
     """Critical inverse temperature: sqrt of inf over (0,1) of g(m).
 
-    The minimizer approaches m = 1 - 2^{1-p} as p grows, so the scan runs
-    on a log-spaced grid in u = 1 - m (10^4 points down to u = 1e-16) and
-    bounded Brent refinement in ln u polishes the bracketing cell to
-    |d ln u| < 1e-10.  The objective is evaluated as the excess g - 2 ln 2 in a
-    cancellation-free form; otherwise the boundary-layer minimum drowns in
-    rounding and the computed value can cross the m -> 1 limit 2 ln 2.
-    By convention beta_2 = 1.
+    The minimizer approaches m = 1 - 2^{1-p} as p grows, so the search runs
+    in t = ln(1 - m), from 1 - m = 1e-16 up to m = 1e-6: a golden-section
+    search, which shrinks the bracket by a fixed ratio per step and stops
+    once it is narrower than 1e-10 in t.  The excess is unimodal there: it
+    falls to its minimum and rises after, and from p = 61 on the minimum is
+    the bracket's left edge.  The objective is evaluated as the excess
+    g - 2 ln 2 in a cancellation-free form; otherwise the boundary-layer
+    minimum drowns in rounding and the computed value can cross the
+    m -> 1 limit 2 ln 2.  By convention beta_2 = 1.
     """
     if check_count(p, "p", 2) == 2:
         return 1.0
-    t_grid = np.linspace(math.log(_LAYER_LO), math.log(1.0 - _BRACKET_LO), _GRID_POINTS)
-    i = int(np.argmin(_excess_grid(np.exp(t_grid), p)))
-    lo = t_grid[max(i - 1, 0)]
-    hi = t_grid[min(i + 1, _GRID_POINTS - 1)]
-    t_min, excess = _bounded_brent(lambda t: _excess_objective(math.exp(t), p), lo, hi, _BRENT_TOL)
-    if not (lo <= t_min <= hi):
-        raise NumericalError(f"failed to bracket the minimum of g for p={p}")
+    p = finite_double(p, "p")
+    lo, hi = math.log(_LAYER_LO), math.log(1.0 - _BRACKET_LO)
+    a, b = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    fa, fb = _excess_objective(math.exp(a), p), _excess_objective(math.exp(b), p)
+    while hi - lo > _T_TOL:
+        if fa <= fb:
+            hi, b, fb = b, a, fa
+            a = hi - _GOLDEN * (hi - lo)
+            fa = _excess_objective(math.exp(a), p)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + _GOLDEN * (hi - lo)
+            fb = _excess_objective(math.exp(b), p)
     # clamped at 0: the excess is < 0 for every 0 < u < 2^-p, so its infimum is
     # never positive, but from p = 61 on the minimizer ~2^-p/e is below _LAYER_LO
-    excess = min(excess, _excess_objective(math.exp(t_grid[i]), p), 0.0)
-    return math.sqrt(2.0 * _LN2 + excess)
+    return math.sqrt(2.0 * _LN2 + min(fa, fb, 0.0))
 
 
 def clt_variance(beta: float, p: int) -> float:
     """Variance beta^4 p!/2 of the leading-scale Gaussian limit."""
     check_count(p, "p")
     check_beta(beta)
-    return beta_power(beta, 4) * math.factorial(p) / 2.0
+    # 171! is past the largest double: a larger p is refused, its factorial never formed
+    return beta_power(beta, 4) * finite_double(math.factorial(min(p, 171)), "p!") / 2.0
 
 
 def _double_factorial_odd(m: int) -> int:
@@ -280,10 +202,7 @@ def limit_constants(beta: float, p: int) -> LimitConstants:
     check_beta(beta)
     fact = math.factorial(p)
     r = 3 if p % 2 == 0 else 4
-    try:
-        moment = float(hermite_moment(p, r))
-    except OverflowError:
-        raise NumericalError(f"E[He_p^{r}] at p={p} exceeds the largest double") from None
+    moment = finite_double(hermite_moment(p, r), f"E[He_p^{r}] at p={p}")
     if r == 3:
         mu = 0.0
         sigma2 = beta_power(beta, 6) / 3.0 * moment

@@ -347,7 +347,11 @@ def exact_pair_sums(disorder):
 
 
 def beta_p_scalar_scan(p, tol=1e-10):
-    """beta_p with its grid scan evaluated point by point in scalar Python."""
+    """beta_p by a route independent of the library's search.
+
+    A 10^4-point grid in t = ln(1 - m), evaluated point by point, picks the
+    cell of the minimum, and scipy's bounded minimizer refines it there.
+    """
     from scipy.optimize import minimize_scalar
 
     from pspinlab.theory import _excess_objective

@@ -193,6 +193,9 @@ def test_invalid_model_parameters_exit_1(capsys):
         (["run", "--mode", "jterm_clt", "--n", "12", "--p", "3", "--beta", "1e200",
           "--replicas", "4", "--allow-supercritical"], "overflow"),
         (["constants", "--p", "7", "--beta", "1e38"], "not finite"),
+        # ln Z past the largest double, and a p past it, end in one error line
+        (["exact", "--n", "10", "--p", "3", "--beta", "1e308", "--seed", "1"], "overflow"),
+        (["betap", "--p", str(10**400)], "overflow"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""

@@ -12,6 +12,8 @@ from pspinlab import (
     ModelParams,
     MomentPolynomial,
     PspinError,
+    beta_p,
+    clt_variance,
     covariance_numerator,
     d_coefficient,
     exact_covariance,
@@ -21,7 +23,10 @@ from pspinlab import (
     gaussian_moment,
     hermite,
     hermite_scaling_gap,
+    first_moment_mc,
     j_mgf,
+    j_mgf_mc,
+    j_term,
     mask_table,
     overlap_grid,
     overlap_pmf,
@@ -29,6 +34,7 @@ from pspinlab import (
     pair_moment_paths,
     pair_statistic_moment,
     sample_disorder,
+    summarize,
     tabulate_covariance,
 )
 from pspinlab.multiindex import check_seed
@@ -191,8 +197,10 @@ def test_non_integer_sizes_orders_and_seeds_refused():
 
 
 def test_non_finite_arguments_refused():
-    # a NaN or inf argument, or a beta whose square overflows, ends in a
-    # PspinError; each call's old result is on its right
+    # a NaN or inf argument, a beta whose square overflows, an integer past
+    # the largest double, or a non-finite result ends in a PspinError; each
+    # call's old result is on its right
+    d = sample_disorder(ModelParams(N=8, p=3), 1)
     calls = (
         lambda: overlap_pmf(10, math.nan),  # bare ValueError from round()
         lambda: overlap_pmf(10, math.inf),  # bare OverflowError from round()
@@ -201,6 +209,17 @@ def test_non_finite_arguments_refused():
         lambda: expansion_approx(12, 3, math.nan),  # nan
         lambda: j_mgf(8, 3, 0.5, math.nan),  # nan
         lambda: exact_first_moment(8, 3, 1e200),  # nan
+        lambda: beta_p(10**400),  # bare OverflowError: int too large to convert to float
+        lambda: exact_first_moment(2000, 1000, 0.1),  # the same
+        lambda: j_mgf(2000, 1000, 0.1, 0.5),  # the same
+        lambda: clt_variance(0.5, 171),  # the same
+        lambda: expansion_approx(10**400, 3, 0.5),  # the same
+        lambda: j_term(d, 1e200),  # inf
+        lambda: first_moment_mc(8, 3, 1e200, 2, 0),  # [nan, nan]
+        lambda: j_mgf_mc(8, 3, 1e200, -0.5, 2, 0),  # [inf, inf]
+        lambda: summarize([math.nan, 1.0], 0.0, 1.0),  # NaN statistics
+        lambda: summarize([1.0, 2.0], 0.0, math.inf),  # finite statistics
+        lambda: summarize([1.0, 2.0], math.inf, 1.0),  # finite statistics
     )
     for call in calls:
         with pytest.raises(PspinError):

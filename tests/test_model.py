@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from pspinlab import (
     EnergyLedger,
     InvalidParametersError,
     ModelParams,
+    NumericalError,
     ResourceLimitError,
     field_chunks,
     field_table,
@@ -452,6 +454,17 @@ def test_fallback_raises_no_floating_point_error():
         with np.errstate(all="raise"):
             log_z = partition_and_power_sums(d, 300.0, half=half)[0]
         assert log_z == pytest.approx(expected, rel=1e-12)
+
+
+def test_log_z_past_the_largest_double_is_numerical_error():
+    # beta sqrt(N) X overflows to inf: the fallback warned "invalid value" on
+    # inf - inf and returned nan; 1e307 still gives a finite ln Z
+    d = sample_disorder(ModelParams(N=10, p=3), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(partition_and_power_sums(d, 1e307)[0])
+        with pytest.raises(NumericalError, match="numerical overflow"):
+            partition_and_power_sums(d, 1e308)
 
 
 def test_log_partition_zero_beta():

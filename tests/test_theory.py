@@ -17,7 +17,7 @@ from pspinlab import (
     sample_disorder,
 )
 from pspinlab.errors import NumericalError
-from pspinlab.theory import _bounded_brent, a_exponent, hermite_moment
+from pspinlab.theory import a_exponent, hermite_moment
 
 from _oracles import beta_p_scalar_scan, critical_objective, hermite_fourth_integral, phi
 
@@ -56,9 +56,10 @@ def test_beta_p_grid_oracle():
 
 
 def test_beta_p_vector_scan_keeps_bits():
-    # the numpy grid scan must pick the scalar scan's cell, so the refined
-    # value keeps every bit
-    for p in range(3, 65):
+    # the golden-section search must land on the bits of the independent
+    # route, a scalar grid refined by scipy; from p = 61 on both end at the
+    # bracket's left edge
+    for p in range(3, 201):
         assert beta_p(p) == beta_p_scalar_scan(p), p
 
 
@@ -239,28 +240,6 @@ def test_limit_constants_all_small_p():
     for p in range(3, 11):
         lim = limit_constants(0.7, p)
         assert lim.sigma2 > 0.0
-
-
-def test_bounded_brent_matches_scipy_bit_for_bit():
-    from scipy.optimize import minimize_scalar
-
-    cases = [
-        (lambda x: (x - 0.3) ** 2, 0.0, 1.0, 1e-10),
-        (lambda x: math.cos(x) + 0.1 * x, 1.0, 5.0, 1e-8),
-        (lambda x: abs(x - 2.0), -3.0, 7.0, 1e-12),
-        (lambda x: x, 0.0, 1.0, 1e-5),
-    ]
-    for func, lo, hi, xatol in cases:
-        res = minimize_scalar(func, bounds=(lo, hi), method="bounded",
-                              options={"xatol": xatol})
-        assert _bounded_brent(func, lo, hi, xatol) == (res.x, res.fun)
-
-
-def test_bounded_brent_refuses_nan_objective_and_maxiter():
-    with pytest.raises(NumericalError):
-        _bounded_brent(lambda x: math.nan, 0.0, 1.0, 1e-10)
-    with pytest.raises(NumericalError):
-        _bounded_brent(math.cos, 1.0, 5.0, 1e-10, maxiter=3)
 
 
 def test_trapezoid_integral_matches_adaptive_quadrature():
