@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParametersError, check_count, check_sizes, finite_double
+from .errors import InvalidParametersError, check_budget, check_count, check_sizes, finite_double
 
 __all__ = [
     "MomentPolynomial",
@@ -40,6 +40,10 @@ __all__ = [
 
 # The scaling window |sqrt(N) m| <= _X_WINDOW of hermite_scaling_gap.
 _X_WINDOW = 0.5
+
+# Peak bytes per value of an overlap grid, a float and its tuple slot
+# (tracemalloc at N = 10^4..10^6: 32.6-33.9 B).
+_GRID_VALUE_BYTES = 34
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,7 @@ def d_coefficient(p: int, k: int) -> float:
     num = math.factorial(p)
     den = (1 << k) * math.factorial(k) * math.factorial(p - 2 * k)
     sign = -1 if k % 2 else 1
-    return float(sign * (num // den))
+    return finite_double(sign * (num // den), f"d_{{p-2k}} at p={p}, k={k}")
 
 
 def hermite(p: int) -> MomentPolynomial:
@@ -101,7 +105,8 @@ def hermite(p: int) -> MomentPolynomial:
     Built from d_coefficient, so He_p(x) = sum_k d_{p-2k} x^{p-2k}; the
     classical recurrence He_{p+1} = x He_p - p He_{p-1} is a test oracle.
     """
-    check_count(p, "p", 0)
+    if check_count(p, "p", 0) > 64:  # the MomentPolynomial cap, before any coefficient
+        raise InvalidParametersError(f"degree {p} exceeds 64")
     coeffs = [0.0] * (p + 1)
     for k in range(p // 2 + 1):
         coeffs[p - 2 * k] = d_coefficient(p, k)
@@ -163,7 +168,10 @@ def hermite_scaling_gap(N: int, p: int) -> float:
 
 def overlap_grid(N: int) -> OverlapGrid:
     check_count(N, "N")
-    return OverlapGrid(N=N, values=tuple(-1.0 + 2.0 * j / N for j in range(N + 1)))
+    n = finite_double(N, "N")
+    check_budget((N + 1) * _GRID_VALUE_BYTES,
+                 f"{N + 1} overlap grid values at {_GRID_VALUE_BYTES} B each")
+    return OverlapGrid(N=N, values=tuple(-1.0 + 2.0 * j / n for j in range(N + 1)))
 
 
 def _check_overlap(m) -> None:
@@ -173,7 +181,7 @@ def _check_overlap(m) -> None:
 
 def _grid_point_to_count(N: int, m: float) -> int:
     _check_overlap(m)
-    j = (1.0 + m) * N / 2.0
+    j = finite_double((1.0 + m) * finite_double(N, "N") / 2.0, "N (1 + m) / 2")
     j_int = round(j)
     if abs(j - j_int) > 1e-9 * max(1, N):
         raise InvalidParametersError(f"m={m} is not on the overlap grid for N={N}")
@@ -202,4 +210,5 @@ def overlap_pmf_gaussian(N: int, m: float) -> float:
     """
     check_count(N, "N")
     _check_overlap(m)
-    return 2.0 / math.sqrt(2.0 * math.pi * N) * math.exp(-N * m * m / 2.0)
+    n = finite_double(N, "N")
+    return 2.0 / math.sqrt(2.0 * math.pi * n) * math.exp(-n * m * m / 2.0)

@@ -3,9 +3,10 @@
 ``check_count`` is the one test of an integer argument in range: a size, an
 order, a replica, sample or thread count, a seed; ``check_sizes`` applies it
 to a pair N, p.  ``check_beta`` is the one test of an inverse temperature,
-``beta_power`` the one power of it that may overflow a double, and
+``beta_power`` the one power of it that may overflow a double,
 ``finite_double`` the one conversion of a huge integer or an overflowed
-result to a double.
+result to a double, and ``finite_exp`` the one exponential that may
+overflow.
 ``check_budget`` is the one memory refusal: each guarded allocation states
 its bytes and is refused past ``BYTE_BUDGET``.  ``write_atomic`` is the one
 way a text file is written: a per-process temp file renamed over the
@@ -76,6 +77,15 @@ def finite_double(value, what: str) -> float:
     if not abs(x) < math.inf:
         raise NumericalError(f"numerical overflow: {what} exceeds the largest double")
     return x
+
+
+def finite_exp(x: float, what: str) -> float:
+    """e^x as a finite float; past the largest double a NumericalError, not a bare OverflowError."""
+    try:
+        y = math.exp(x)
+    except OverflowError:
+        y = math.inf
+    return finite_double(y, what)
 
 
 # The memory budget of each guarded allocation, a quarter of an 8 GB machine.

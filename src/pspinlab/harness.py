@@ -246,12 +246,16 @@ def summarize(
             and np.all(np.isfinite(x))):
         raise NumericalError(f"a sample or the target (mean {target_mean}, variance "
                              f"{target_variance}) is not finite")
-    mean = float(x.mean())
-    centered = x - mean
-    # einsum, not np.dot: a long BLAS dot splits its sum by thread count
-    variance = float(np.einsum("i,i->", centered, centered) / (n - 1))
+    with np.errstate(over="ignore"):  # a moment past the largest double is refused below
+        mean = float(x.mean())
+        centered = x - mean
+        # einsum, not np.dot: a long BLAS dot splits its sum by thread count
+        variance = float(np.einsum("i,i->", centered, centered) / (n - 1))
+        cubes = centered**3
+    if not (variance < math.inf and np.all(np.isfinite(cubes))):
+        raise NumericalError(f"the variance or third moment of the {n} samples is not finite")
     if variance > 0.0:
-        skewness = float(np.mean(centered**3) / np.mean(centered**2) ** 1.5)
+        skewness = float(np.mean(cubes) / np.mean(centered**2) ** 1.5)
     else:
         skewness = 0.0
     z = np.sort((x - target_mean) / math.sqrt(target_variance))

@@ -18,7 +18,7 @@ enumeration engines coexist:
   be nonzero, so each block's transform runs on that Hamming ball alone,
   of radius p - popcount(block), grouped by radius so that no stage
   gathers (:class:`_BallPlan`); the skipped entries hold +0.0 and each
-  chunk keeps the dense transform's bits.  :func:`_chunk_positions` is the
+  chunk keeps the dense transform's bits.  :func:`_chunk_layout` is the
   one layout of a chunk's slots, and this the one table builder:
   :func:`field_table` is its one-chunk case.
 
@@ -231,48 +231,40 @@ class _BallPlan:
         np.subtract(a, b, out=out[a.size :])
 
 
-@lru_cache(maxsize=32)
-def _ball_plan(bits: int, radius: int) -> _BallPlan:
-    return _BallPlan(bits, radius)
-
-
-@lru_cache(maxsize=4)
-def _chunk_plans(bits: int, radius: int) -> tuple:
-    """The plan of each 2^16 block of a 2^bits chunk and the chunk's slot count.
+def _block_plans(bits: int, radius: int) -> tuple:
+    """The plan of each 2^16 block of a 2^bits chunk and the chunk index of each slot.
 
     Block b can be nonzero only at indices of popcount <= radius -
     popcount(b); a block with no such index gets no plan (None) and is all
-    +0.0.  The chunk's slots are every plan's level-0 slots, block after
-    block, laid out by :func:`_chunk_positions`.
+    +0.0, and blocks of one radius share a plan.  The chunk's slots are every
+    plan's level-0 positions offset by its block, block after block.
     """
     block_bits = min(bits, _FWHT_BLOCK_BITS)
-    plans = []
+    shared, plans = {}, []
     for b in range(1 << (bits - block_bits)):
-        r = radius - b.bit_count()
-        plans.append(_ball_plan(block_bits, min(r, block_bits)) if r >= 0 else None)
-    return tuple(plans), sum(plan.slots.size for plan in plans if plan)
+        r = min(radius - b.bit_count(), block_bits)
+        if r >= 0 and r not in shared:
+            shared[r] = _BallPlan(block_bits, r)
+        plans.append(shared.get(r))
+    return tuple(plans), np.concatenate([plan.positions + (b << block_bits)
+                                         for b, plan in enumerate(plans) if plan])
 
 
-def _chunk_positions(bits: int, radius: int) -> np.ndarray:
-    """The chunk index of each slot of :func:`_chunk_plans` (bits, radius).
+@lru_cache(maxsize=2)  # one layout per run, one more for the overflow fallback below N = 20
+def _chunk_layout(N: int, p: int, bits: int) -> tuple:
+    """The layout of (N, p) in 2^bits chunks, read-only.
 
-    Every plan's level-0 positions offset by its block, block after block.
-    One intp per live state, so it is built where it is read and not kept.
+    The :func:`_block_plans` (bits, p), the slot count, and each coupling's
+    slot in a chunk and high state bits, which fold into its sign.
     """
-    block_bits = min(bits, _FWHT_BLOCK_BITS)
-    return np.concatenate([plan.positions + (b << block_bits)
-                           for b, plan in enumerate(_chunk_plans(bits, radius)[0]) if plan])
-
-
-@lru_cache(maxsize=2)
-def _scatter_index(N: int, p: int, bits: int) -> np.ndarray:
-    """The slot of each coupling mask in the layout of :func:`_chunk_plans` (bits, p), read-only."""
-    positions = _chunk_positions(bits, p)
+    plans, positions = _block_plans(bits, p)
     order = np.argsort(positions)  # the positions are distinct and hold every mask's low bits
-    low = (mask_table(N, p) & np.uint64((1 << bits) - 1)).view(np.intp)
+    masks = mask_table(N, p)
+    low = (masks & np.uint64((1 << bits) - 1)).view(np.intp)
     index = order[np.searchsorted(positions[order], low)]
-    index.flags.writeable = False
-    return index
+    high = masks >> np.uint64(bits)
+    index.flags.writeable = high.flags.writeable = False
+    return plans, positions.size, index, high
 
 
 def _transform(slots: np.ndarray, plans: tuple, out: np.ndarray) -> np.ndarray:
@@ -315,12 +307,6 @@ def _transform(slots: np.ndarray, plans: tuple, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fwht(a: np.ndarray) -> np.ndarray:
-    """In-place Walsh-Hadamard transform of a dense table: every entry live."""
-    bits = a.size.bit_length() - 1
-    return _transform(a[_chunk_positions(bits, bits)], _chunk_plans(bits, bits)[0], a)
-
-
 def field_table(disorder: Disorder, half: bool = False) -> np.ndarray:
     """X values for every configuration, indexed by state bitmask.
 
@@ -337,7 +323,7 @@ def field_chunks(disorder: Disorder, half: bool = False, chunk_bits: int | None 
     The high state bits are fixed per chunk and fold into the coupling
     signs, so only the low-bit subcube is transformed.  Its couplings,
     divided by sqrt(binom(N,p)) once per disorder, are scattered by
-    ``np.bincount`` into the slots of :func:`_chunk_plans`: the level-0
+    ``np.bincount`` into the slots of :func:`_chunk_layout`: the level-0
     positions of each 2^16 block's :class:`_BallPlan` (697 at p = 3, not
     2^16), block after block.  Block b runs the plan of radius
     p - popcount(b) over the entries its couplings can reach, and the wide
@@ -357,9 +343,7 @@ def field_chunks(disorder: Disorder, half: bool = False, chunk_bits: int | None 
     chunk_bits = min(check_count(chunk_bits, "chunk_bits", 0), n_bits)
     if chunk_bits > _DIRECT_TABLE_BITS:
         raise ResourceLimitError(f"a 2^{chunk_bits}-state table exceeds the in-memory limit")
-    plans, n_slots = _chunk_plans(chunk_bits, params.p)
-    index = _scatter_index(params.N, params.p, chunk_bits)
-    high = mask_table(params.N, params.p) >> np.uint64(chunk_bits)
+    plans, n_slots, index, high = _chunk_layout(params.N, params.p, chunk_bits)
     scaled = disorder.couplings / math.sqrt(params.n_couplings)  # the transform is linear
     for high_state in range(1 << (n_bits - chunk_bits)):
         values = scaled * _signs(high, high_state) if high_state else scaled

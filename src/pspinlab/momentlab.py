@@ -40,7 +40,7 @@ import numpy as np
 
 from .covariance import covariance_numerator
 from .errors import (IdentityCheckError, InvalidParametersError, ResourceLimitError, beta_power,
-                     check_beta, check_budget, check_count, check_sizes, finite_double)
+                     check_beta, check_budget, check_count, check_sizes, finite_double, finite_exp)
 from .model import j_term, partition_and_power_sums
 from .multiindex import (
     Disorder,
@@ -284,8 +284,16 @@ def first_moment_mc(
         )
         # einsum, not a BLAS gemv: its sums split by thread count
         x_vals = np.einsum("si,i->s", 1.0 - 2.0 * parity, disorder.couplings) * root
-        # J_N first: an overflowed J_N is refused before cosh can overflow
-        out[r] = math.exp(-N * j_term(disorder, beta)) * float(np.cosh(scale * x_vals).mean())
+        log_deflation = -N * j_term(disorder, beta)  # J_N first: an overflowed J_N is refused
+        y = scale * x_vals
+        with np.errstate(over="ignore"):  # an inf mean is taken again in log domain
+            mean = float(np.cosh(y).mean())
+        if mean < math.inf:
+            out[r] = math.exp(log_deflation) * mean
+        else:  # ln of the mean of cosh(y), shifted by m = max |y|
+            m = float(np.abs(y).max())
+            log_mean = m + math.log(float(((np.exp(y - m) + np.exp(-y - m)) / 2.0).mean()))
+            out[r] = finite_exp(log_deflation + log_mean, "E_sigma[Z_N] e^{-N J_N}")
     return out
 
 
@@ -295,10 +303,12 @@ def j_mgf_mc(
     """Per-replica Monte Carlo samples of e^{-q N J_N}."""
     params = ModelParams(N=N, p=p, beta=beta)
     check_count(replicas, "replicas")
+    if math.isnan(q):
+        raise InvalidParametersError(f"q={q} must be a number")
     out = np.empty(replicas)
     for r in range(replicas):
         disorder = sample_disorder(params, derive_seed(base_seed, r))
-        out[r] = math.exp(-q * N * j_term(disorder, beta))
+        out[r] = finite_exp(-q * N * j_term(disorder, beta), "e^{-q N J_N}")
     return out
 
 

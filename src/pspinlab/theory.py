@@ -150,13 +150,15 @@ def gaussian_moment(poly: MomentPolynomial, r: int, method: str = "exact") -> fl
         for deg, c in enumerate(power):
             if c and deg % 2 == 0:
                 total += c * _double_factorial_odd(deg // 2)
-        return float(total)
+        return finite_double(total, f"E[q(X)^{r}]")
     if method == "quadrature":
         nodes = (poly.degree * r) // 2 + 1
         x, w = hermegauss(max(nodes, 1))
-        vals = polyval(x, poly.coefficients) ** r
+        with np.errstate(over="ignore"):  # an overflowed moment is refused below
+            vals = polyval(x, poly.coefficients) ** r
         # einsum, not np.dot: a BLAS dot splits its sum by thread count
-        return float(np.einsum("i,i->", w, vals) / math.sqrt(2.0 * math.pi))
+        return finite_double(np.einsum("i,i->", w, vals) / math.sqrt(2.0 * math.pi),
+                             f"E[q(X)^{r}]")
     raise InvalidParametersError(f"unknown method {method!r}")
 
 
@@ -199,7 +201,7 @@ def limit_constants(beta: float, p: int) -> LimitConstants:
     the moment can still overflow to inf.
     """
     a = a_exponent(p)
-    check_beta(beta)
+    variance = clt_variance(beta, p)  # refuses p >= 171 before a factorial below is formed
     fact = math.factorial(p)
     r = 3 if p % 2 == 0 else 4
     moment = finite_double(hermite_moment(p, r), f"E[He_p^{r}] at p={p}")
@@ -211,7 +213,7 @@ def limit_constants(beta: float, p: int) -> LimitConstants:
         mu = -beta_power(beta, 4) * fact / 4.0
         sigma2 = beta_power(beta, 8) * base
     return LimitConstants(
-        clt_variance=clt_variance(beta, p),
+        clt_variance=variance,
         mu=mu,
         sigma2=sigma2,
         a_exponent=a,

@@ -37,6 +37,8 @@ from pspinlab import (
     summarize,
     tabulate_covariance,
 )
+from pspinlab import covariance, errors
+from pspinlab.errors import NumericalError, ResourceLimitError
 from pspinlab.multiindex import check_seed
 
 from _oracles import expansion_deviation, gaussian_pmf_error
@@ -220,10 +222,51 @@ def test_non_finite_arguments_refused():
         lambda: summarize([math.nan, 1.0], 0.0, 1.0),  # NaN statistics
         lambda: summarize([1.0, 2.0], 0.0, math.inf),  # finite statistics
         lambda: summarize([1.0, 2.0], math.inf, 1.0),  # finite statistics
+        lambda: overlap_grid(10**400),  # bare OverflowError: int too large to convert to float
+        lambda: overlap_pmf(10**400, 0.0),  # the same
+        lambda: overlap_pmf_gaussian(10**400, 0.0),  # the same
+        lambda: d_coefficient(1000, 300),  # the same
+        lambda: expansion_approx(2000, 1000, 0.5),  # the same
+        lambda: hermite_scaling_gap(2000, 1000),  # the same
+        lambda: gaussian_moment(MomentPolynomial((1e100, 1e100)), 4),  # bare OverflowError:
+        # integer division result too large for a float
+        lambda: gaussian_moment(MomentPolynomial((1e300, 1e300)), 4, method="quadrature"),  # inf,
+        # with an "overflow encountered in power" warning
+        lambda: j_mgf_mc(8, 3, 0.5, math.nan, 2, 0),  # [nan, nan]
+        lambda: j_mgf_mc(8, 3, 0.5, -1e308, 2, 0),  # [inf, inf]
+        lambda: summarize([1e160, -1e160, 0.0], 0.0, 1.0),  # variance inf, skewness nan,
+        # with an "overflow encountered in power" warning
     )
     for call in calls:
         with pytest.raises(PspinError):
             call()
+
+
+def test_overflow_and_non_finite_messages():
+    with pytest.raises(NumericalError, match="numerical overflow"):
+        overlap_pmf(10**400, 0.0)
+    with pytest.raises(NumericalError, match="numerical overflow"):
+        j_mgf_mc(8, 3, 0.5, -1e308, 2, 0)
+    with pytest.raises(NumericalError, match="not finite"):
+        summarize([1e160, -1e160, 0.0], 0.0, 1.0)
+
+
+def test_hermite_degree_refused_before_any_coefficient(monkeypatch):
+    # He_200 was refused by MomentPolynomial only after its 101 coefficients were built
+    def no_coefficient(p, k):
+        raise AssertionError("a coefficient was built")
+
+    monkeypatch.setattr(covariance, "d_coefficient", no_coefficient)
+    with pytest.raises(InvalidParametersError, match="degree 200 exceeds 64"):
+        hermite(200)
+
+
+def test_overlap_grid_states_its_bytes(monkeypatch):
+    # the (N + 1)-tuple of floats, about 33 B per value, was built unguarded
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 2**16)
+    with pytest.raises(ResourceLimitError):
+        overlap_grid(10_000)
+    assert len(overlap_grid(1000).values) == 1001
 
 
 def test_overlap_grid_shape():

@@ -58,6 +58,16 @@ def test_every_export_has_a_caller():
     assert sorted(exported - used) == []
 
 
+def test_every_private_definition_has_a_caller():
+    # a private helper that only the unit tests reach belongs in tests/, not in the package
+    modules = sorted(PACKAGE.glob("*.py"))
+    private = {node.name for p in modules for node in ast.parse(p.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")}
+    used = set().union(*(used_names(p) for p in modules))
+    assert len(private) >= 30
+    assert sorted(private - used) == []
+
+
 def blas_reductions(source: str) -> list:
     """(line, call) for every reduction a BLAS may split by thread count."""
     numpy_names = {"dot", "matmul", "inner", "vdot", "tensordot"}

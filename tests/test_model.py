@@ -28,7 +28,7 @@ from pspinlab import (
 )
 
 from pspinlab import model
-from pspinlab.model import _ball_plan, _fwht, partition_and_power_sums
+from pspinlab.model import _BallPlan, _block_plans, _transform, partition_and_power_sums
 
 from _oracles import (dense_field_chunks, fwht_radix2, hamiltonian, naive_field_table,
                       naive_log_partition)
@@ -130,7 +130,9 @@ def test_fwht_bit_identical_to_radix2_stages():
     rng = np.random.default_rng(3)
     for bits in range(1, 23):
         x = rng.standard_normal(1 << bits)
-        assert np.array_equal(_fwht(x.copy()), fwht_radix2(x.copy())), bits
+        plans, positions = _block_plans(bits, bits)
+        got = _transform(x[positions], plans, np.empty(x.size))
+        assert np.array_equal(got, fwht_radix2(x.copy())), bits
 
 
 def test_field_chunks_bit_identical_to_dense_oracle():
@@ -166,13 +168,13 @@ def test_ball_plan_level0_is_the_hamming_ball():
     rng = np.random.default_rng(4)
     weight = np.bitwise_count(np.arange(1 << 16))
     for radius in range(17):
-        plan = _ball_plan(16, radius)
+        plan = _BallPlan(16, radius)
         assert plan.positions.size == sum(math.comb(16, j) for j in range(radius + 1))
         assert np.array_equal(np.sort(plan.positions), np.flatnonzero(weight <= radius))
     for bits in (1, 2, 5, 9):
         weight = np.bitwise_count(np.arange(1 << bits))
         for radius in range(bits + 1):
-            plan = _ball_plan(bits, radius)
+            plan = _BallPlan(bits, radius)
             x = np.where(weight <= radius, rng.standard_normal(1 << bits), 0.0)
             got = np.empty(1 << bits)
             plan.run(x[plan.positions], got)

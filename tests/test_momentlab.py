@@ -5,11 +5,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 from pspinlab import momentlab
 from pspinlab import (
@@ -22,6 +24,7 @@ from pspinlab import (
     first_moment_mc,
     free_energy,
     free_energy_and_moments,
+    gaussian_field,
     h3_representation,
     h4_direct,
     h4_statistic,
@@ -36,6 +39,7 @@ from pspinlab import (
     quenched_moments,
     sample_disorder,
 )
+from pspinlab.multiindex import philox_words
 from _oracles import (
     brute_signed_sums_loop,
     exact_pair_sums,
@@ -455,6 +459,28 @@ def test_first_moment_conditional_mc():
     vals = first_moment_mc(N, p, beta, replicas=M, base_seed=77)
     se = float(np.std(vals, ddof=1)) / math.sqrt(M)
     assert abs(float(np.mean(vals)) - exact_first_moment(N, p, beta)) <= 3.0 * se
+
+
+def test_first_moment_mc_past_the_cosh_overflow():
+    # at beta = 300 the mean of cosh(y) overflows while e^{-N J_N} underflows: the
+    # product was nan, with an "overflow encountered in cosh" warning; each estimate
+    # equals a log-domain oracle over the same 64 states and their flips
+    N, p, samples = 8, 3, 64
+    params = ModelParams(N=N, p=p)
+    for beta in (0.4, 300.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = first_moment_mc(N, p, beta, replicas=2, base_seed=0, sigma_samples=samples)
+        for r, value in enumerate(got):
+            rep_seed = derive_seed(0, r)
+            d = sample_disorder(params, rep_seed)
+            states = philox_words(derive_seed(rep_seed, momentlab._SIGMA_TAG), samples)
+            x = np.array([gaussian_field(int(s) % (1 << N), d) for s in states])
+            y = beta * math.sqrt(N) * x
+            log_mean = logsumexp(np.concatenate((y, -y))) - math.log(2 * samples)
+            expected = math.exp(log_mean - N * j_term(d, beta))
+            assert math.isfinite(value) and value >= 0.0, beta
+            assert value == expected == 0.0 or value == pytest.approx(expected, rel=1e-12), beta
 
 
 def test_first_moment_mc_guards():

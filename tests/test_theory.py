@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -191,6 +192,15 @@ def test_limit_constants_moment_overflow_is_numerical_error():
     assert math.isfinite(limit_constants(0.5, 79).sigma2)
     with pytest.raises(NumericalError, match="p=81"):
         limit_constants(0.5, 81)
+
+
+def test_limit_constants_huge_p_refused_at_once():
+    # p! and the exact E[He_p^4] sum were formed before clt_variance refused
+    # p >= 171: seconds at p = 4001
+    start = time.perf_counter()
+    with pytest.raises(NumericalError):
+        limit_constants(0.5, 4001)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_beta_power_overflow_is_numerical_error():
