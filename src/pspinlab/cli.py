@@ -21,8 +21,6 @@ from .momentlab import free_energy_and_moments
 from .multiindex import ModelParams, sample_disorder
 from .theory import REM_BETA, beta_p
 
-__all__ = ["main", "build_parser"]
-
 # `run` settings for the flags constants and tabulate-covariance lack; they draw
 # no replicas, so they take one thread and leave PSPIN_THREADS unread.
 _RUN_DEFAULTS = {"replicas": 1, "seed": 0, "threads": 1, "format": "csv",
@@ -50,21 +48,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("constants", help="limit constants for (p, beta)")
     sp.add_argument("--n", type=int, help="number of spins (default: p)")
     common(sp, beta=True)
-    sp.set_defaults(mode="constants", out=None, **_RUN_DEFAULTS)
+    sp.set_defaults(handler=_cmd_constants, mode="constants", out=None, **_RUN_DEFAULTS)
 
     sp = sub.add_parser("betap", help="critical temperature beta_p")
     common(sp)
+    sp.set_defaults(handler=_cmd_betap)
 
     sp = sub.add_parser("tabulate-covariance", help="overlap-covariance table")
     sp.add_argument("--n", type=int, required=True)
     common(sp)
     sp.add_argument("--out", help="write CSV here instead of stdout")
-    sp.set_defaults(mode="tabulate", beta=0.0, **_RUN_DEFAULTS)
+    sp.set_defaults(handler=_cmd_tabulate, mode="tabulate", beta=0.0, **_RUN_DEFAULTS)
 
     sp = sub.add_parser("identities", help="per-replica combinatorial identity checks")
     sp.add_argument("--n", type=int, required=True)
     common(sp, beta=True, sampling=True)
-    sp.set_defaults(mode="identities", format="csv", allow_supercritical=False)
+    sp.set_defaults(handler=_cmd_run, mode="identities", format="csv", allow_supercritical=False)
 
     sp = sub.add_parser("run", help="disorder-replica experiment")
     sp.add_argument("--n", type=int, required=True)
@@ -72,11 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", required=True, choices=MODES)
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
     sp.add_argument("--allow-supercritical", action="store_true")
+    sp.set_defaults(handler=_cmd_run)
 
     sp = sub.add_parser("exact", help="single-disorder F_N, J_N, T_N dump")
     sp.add_argument("--n", type=int, required=True)
     common(sp, beta=True)
     sp.add_argument("--seed", type=int, default=0)
+    sp.set_defaults(handler=_cmd_exact)
 
     return parser
 
@@ -149,16 +150,6 @@ def _cmd_exact(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "constants": _cmd_constants,
-    "betap": _cmd_betap,
-    "tabulate-covariance": _cmd_tabulate,
-    "identities": _cmd_run,
-    "run": _cmd_run,
-    "exact": _cmd_exact,
-}
-
-
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     try:
@@ -168,7 +159,7 @@ def main(argv: Optional[list] = None) -> int:
         # resource-limit refusals here, so remap to invalid-parameters.
         return 0 if exc.code in (0, None) else 1
     try:
-        return _DISPATCH[args.command](args)
+        return args.handler(args)
     except (PspinError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ResourceLimitError):

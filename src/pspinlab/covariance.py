@@ -22,21 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParametersError, check_budget, check_count, check_sizes, finite_double
-
-__all__ = [
-    "MomentPolynomial",
-    "OverlapGrid",
-    "d_coefficient",
-    "hermite",
-    "covariance_numerator",
-    "exact_covariance",
-    "expansion_approx",
-    "hermite_scaling_gap",
-    "overlap_grid",
-    "overlap_pmf",
-    "overlap_pmf_gaussian",
-]
+from .errors import (InvalidParametersError, check_budget, check_count, check_sizes, finite_double,
+                     finite_exp, finite_power, shown)
 
 # The scaling window |sqrt(N) m| <= _X_WINDOW of hermite_scaling_gap.
 _X_WINDOW = 0.5
@@ -88,15 +75,18 @@ class OverlapGrid:
 def d_coefficient(p: int, k: int) -> float:
     """Expansion coefficient d_{p-2k} = (-1)^k p! / (2^k k! (p-2k)!).
 
-    Always an integer (it equals binom(p, 2k) (2k-1)!! up to sign); computed
-    exactly and returned as a double.
+    Always an integer, (-1)^k binom(p, 2k) (2k-1)!!: computed exactly in that
+    form, in O(k) steps, and returned as a double.
     """
     check_count(p, "p", 0)
     check_count(k, "k", 0, p // 2)
-    num = math.factorial(p)
-    den = (1 << k) * math.factorial(k) * math.factorial(p - 2 * k)
+    what = f"d_{{p-2k}} at p={shown(p)}, k={shown(k)}"
+    # (2k-1)!! is past the largest double from k = 151 on: a larger k is refused,
+    # its product and binom(p, 2k) never formed
+    odd = math.prod(range(1, 2 * min(k, 151), 2))
+    finite_double(odd, what)
     sign = -1 if k % 2 else 1
-    return finite_double(sign * (num // den), f"d_{{p-2k}} at p={p}, k={k}")
+    return finite_double(sign * math.comb(p, 2 * k) * odd, what)
 
 
 def hermite(p: int) -> MomentPolynomial:
@@ -106,7 +96,7 @@ def hermite(p: int) -> MomentPolynomial:
     classical recurrence He_{p+1} = x He_p - p He_{p-1} is a test oracle.
     """
     if check_count(p, "p", 0) > 64:  # the MomentPolynomial cap, before any coefficient
-        raise InvalidParametersError(f"degree {p} exceeds 64")
+        raise InvalidParametersError(f"degree {shown(p)} exceeds 64")
     coeffs = [0.0] * (p + 1)
     for k in range(p // 2 + 1):
         coeffs[p - 2 * k] = d_coefficient(p, k)
@@ -153,7 +143,7 @@ def hermite_scaling_gap(N: int, p: int) -> float:
     """
     check_sizes(N, p)
     he = hermite(p)
-    scale = N ** (p / 2.0)
+    scale = finite_power(N, p / 2.0, "N")
     sqrt_n = math.sqrt(N)
     worst = 0.0
     for k in range(N + 1):
@@ -191,15 +181,17 @@ def _grid_point_to_count(N: int, m: float) -> int:
 def overlap_pmf(N: int, m: float) -> float:
     """P(overlap = m) = binom(N, N(1+m)/2) 2^{-N} for m on the grid.
 
-    Evaluated in log domain (lgamma) and exponentiated, so it stays finite
-    for any N in range.
+    Evaluated in log domain (lgamma) and exponentiated; where ln N! or the
+    exponent passes the largest double, a NumericalError.
     """
     check_count(N, "N")
     j = _grid_point_to_count(N, m)
+    # ln N! < N ln N: refused where that passes the largest double, before lgamma overflows
+    finite_double(N * math.log(N), "N ln N")
     log_binom = (
         math.lgamma(N + 1) - math.lgamma(j + 1) - math.lgamma(N - j + 1)
     )
-    return math.exp(log_binom - N * math.log(2.0))
+    return finite_exp(log_binom - N * math.log(2.0), "the overlap pmf in log domain")
 
 
 def overlap_pmf_gaussian(N: int, m: float) -> float:

@@ -2,8 +2,10 @@
 
 ``check_count`` is the one test of an integer argument in range: a size, an
 order, a replica, sample or thread count, a seed; ``check_sizes`` applies it
-to a pair N, p.  ``check_beta`` is the one test of an inverse temperature,
-``beta_power`` the one power of it that may overflow a double,
+to a pair N, p.  ``shown`` is the one way a message prints an argument: an
+integer past str()'s 4,300-digit limit by its bit length.
+``check_beta`` is the one test of an inverse temperature,
+``finite_power`` the one power that may overflow a double,
 ``finite_double`` the one conversion of a huge integer or an overflowed
 result to a double, and ``finite_exp`` the one exponential that may
 overflow.
@@ -33,12 +35,20 @@ class ResourceLimitError(PspinError, RuntimeError):
     """The request exceeds the enumeration or memory budget."""
 
 
+def shown(value) -> str:
+    """``repr(value)``; an integer too long for that, past 4,300 digits, by its bit length."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{'negative ' if value < 0 else ''}{value.bit_length()}-bit integer>"
+
+
 def check_count(value, name: str, low: int = 1, high=None) -> int:
     """``value`` itself if it is an integer in [low, high]; a bool or a float is refused."""
     if isinstance(value, bool) or not isinstance(value, int) or value < low or (
             high is not None and value > high):
-        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise InvalidParametersError(f"{name}={value!r} must be an integer {bound}")
+        bound = f">= {low}" if high is None else f"in [{low}, {shown(high)}]"
+        raise InvalidParametersError(f"{name}={shown(value)} must be an integer {bound}")
     return value
 
 
@@ -50,7 +60,7 @@ def check_sizes(N, p, min_p: int = 1, max_n=None) -> None:
     except InvalidParametersError:
         cap = "" if max_n is None else f" <= {max_n}"
         raise InvalidParametersError(
-            f"need integers {min_p} <= p <= N{cap}, got p={p!r}, N={N!r}") from None
+            f"need integers {min_p} <= p <= N{cap}, got p={shown(p)}, N={shown(N)}") from None
 
 
 def check_beta(beta) -> None:
@@ -59,12 +69,12 @@ def check_beta(beta) -> None:
         raise InvalidParametersError(f"beta={beta} must be finite and >= 0")
 
 
-def beta_power(beta: float, k: int) -> float:
-    """beta**k; past the largest double a NumericalError, not a bare OverflowError."""
+def finite_power(x, k, name: str) -> float:
+    """x**k, x named ``name``; past the largest double a NumericalError, not an OverflowError."""
     try:
-        return beta**k
+        return x**k
     except OverflowError:
-        raise NumericalError(f"numerical overflow: beta**{k} at beta={beta!r} "
+        raise NumericalError(f"numerical overflow: {name}**{k} at {name}={shown(x)} "
                              f"exceeds the largest double") from None
 
 

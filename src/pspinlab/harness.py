@@ -49,7 +49,7 @@ from scipy.special import kolmogorov, ndtr
 
 from .covariance import expansion_approx, exact_covariance, hermite, overlap_grid
 from .errors import (InvalidParametersError, NumericalError, PspinError, check_budget, check_count,
-                     check_writable, write_atomic)
+                     check_writable, finite_power, shown, write_atomic)
 from .model import check_enumeration_budget, j_term
 from .momentlab import (
     BRUTE_PAIR_N,
@@ -62,20 +62,6 @@ from .momentlab import (
 from .multiindex import (ModelParams, check_coupling_budget, check_seed, derive_seed,
                          sample_disorder)
 from .theory import a_exponent, beta_p, clt_variance, limit_constants
-
-__all__ = [
-    "ExperimentConfig",
-    "FluctuationSample",
-    "SummaryStats",
-    "ExperimentReport",
-    "run_experiment",
-    "summarize",
-    "tabulate_covariance",
-    "tabulate_text",
-    "finite_json",
-    "MODES",
-    "CSV_HEADER",
-]
 
 
 @dataclass(frozen=True)
@@ -254,10 +240,13 @@ def summarize(
         cubes = centered**3
     if not (variance < math.inf and np.all(np.isfinite(cubes))):
         raise NumericalError(f"the variance or third moment of the {n} samples is not finite")
+    skewness = 0.0
     if variance > 0.0:
-        skewness = float(np.mean(cubes) / np.mean(centered**2) ** 1.5)
-    else:
-        skewness = 0.0
+        m2, m3 = np.mean(centered**2), np.mean(cubes)
+        if m2**1.5 < np.finfo(np.float64).tiny:  # underflowed: the same ratio at max |c| = 1
+            unit = centered / np.abs(centered).max()
+            m2, m3 = np.mean(unit**2), np.mean(unit**3)
+        skewness = float(m3 / m2**1.5)
     z = np.sort((x - target_mean) / math.sqrt(target_variance))
     cdf = ndtr(z)
     steps_hi = np.arange(1, n + 1) / n
@@ -403,7 +392,7 @@ def _constants_payload(params: ModelParams) -> dict:
 def tabulate_covariance(N: int, p: int) -> list:
     """Rows (m, exact f, series approximation, Hermite limit profile)."""
     he = hermite(p)
-    scale = N ** (p / 2.0)
+    scale = finite_power(N, p / 2.0, "N")
     return [(float(m), exact_covariance(N, p, round(N * (1.0 - m) / 2.0)),
              expansion_approx(N, p, float(m)), he(math.sqrt(N) * float(m)) / scale)
             for m in overlap_grid(N).values]
@@ -454,7 +443,8 @@ def _replica_rows(config: ExperimentConfig, mode: _Mode, threads: int) -> tuple:
     if mode.enumerates:
         check_enumeration_budget(params, workers)
     check_coupling_budget(params.N, params.p, workers)
-    check_budget(config.replicas * _ROW_BYTES, f"{config.replicas} replicas at {_ROW_BYTES} B/row")
+    check_budget(config.replicas * _ROW_BYTES,
+                 f"{shown(config.replicas)} replicas at {_ROW_BYTES} B/row")
     target = None
     if mode.target is not None:
         target = mode.target(params)

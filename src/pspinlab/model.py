@@ -48,21 +48,6 @@ from .errors import (DataError, ResourceLimitError, check_beta, check_budget, ch
                      finite_double)
 from .multiindex import Disorder, ModelParams, mask_table
 
-__all__ = [
-    "SpinConfiguration",
-    "EnergyLedger",
-    "ENUMERATION_BUDGET",
-    "check_enumeration_budget",
-    "gaussian_field",
-    "gray_sweep",
-    "field_table",
-    "field_chunks",
-    "partition_and_power_sums",
-    "log_partition",
-    "free_energy",
-    "j_term",
-]
-
 # Hard cap for any full-hypercube operation; the cost model is
 # 2^N butterflies plus exp evaluations, about a minute per replica at N=30.
 ENUMERATION_BUDGET = 30
@@ -89,11 +74,9 @@ _BLOCK_LOCK = threading.Lock()
 # blocks cost less than the smaller plans save.
 _CHUNK_BITS = 19
 
+
 # A configuration is a plain int bitmask; bit i set <=> sigma_{i+1} = -1.
-SpinConfiguration = int
-
-
-def gaussian_field(bits: SpinConfiguration, disorder: Disorder) -> float:
+def gaussian_field(bits: int, disorder: Disorder) -> float:
     """X_sigma = binom(N,p)^{-1/2} sum_A J_A sigma_A for one configuration."""
     params = disorder.params
     check_count(bits, "configuration", 0, (1 << params.N) - 1)

@@ -39,8 +39,9 @@ from functools import lru_cache
 import numpy as np
 
 from .covariance import covariance_numerator
-from .errors import (IdentityCheckError, InvalidParametersError, ResourceLimitError, beta_power,
-                     check_beta, check_budget, check_count, check_sizes, finite_double, finite_exp)
+from .errors import (IdentityCheckError, InvalidParametersError, ResourceLimitError, check_beta,
+                     check_budget, check_count, check_sizes, finite_double, finite_exp,
+                     finite_power, shown)
 from .model import j_term, partition_and_power_sums
 from .multiindex import (
     Disorder,
@@ -50,24 +51,6 @@ from .multiindex import (
     philox_words,
     sample_disorder,
 )
-
-__all__ = [
-    "QuenchedMoments",
-    "quenched_moments",
-    "free_energy_and_moments",
-    "h3_representation",
-    "h4_statistic",
-    "h4_direct",
-    "pair_sums",
-    "check_pair_budget",
-    "pair_plan",
-    "exact_first_moment",
-    "j_mgf",
-    "first_moment_mc",
-    "j_mgf_mc",
-    "pair_statistic_moment",
-    "pair_moment_paths",
-]
 
 # Building the pair plan peaks at 4.05-4.22 B per coupling pair, what it keeps
 # (tracemalloc, n = 462..3060, p = 3..6: the upper-triangle differences as intp);
@@ -128,9 +111,9 @@ def _moments_from_sums(disorder: Disorder, beta: float, s2, s3, s4) -> QuenchedM
     h4 = -(m2 * m2) / 8.0 + m4 / 24.0 + a4 / 12.0 * j4_sum
     t_value = (
         1.0
-        - beta_power(beta, 4) * (m2 * m2) / 8.0
-        - beta_power(beta, 3) * m3 / 6.0
-        + beta_power(beta, 4) * m4 / 24.0
+        - finite_power(beta, 4, "beta") * (m2 * m2) / 8.0
+        - finite_power(beta, 3, "beta") * m3 / 6.0
+        + finite_power(beta, 4, "beta") * m4 / 24.0
     )
     return QuenchedMoments(m2=m2, m3=m3, m4=m4, h4=h4, j4_sum=j4_sum, t_value=t_value)
 
@@ -248,6 +231,12 @@ def j_mgf(N: int, p: int, beta: float, q: float) -> float:
     return math.exp(-0.5 * finite_double(n, "binom(N, p)") * math.log1p(t))
 
 
+def _estimates(replicas: int) -> np.ndarray:
+    """An empty array for one 8 B estimate per replica, refused past the byte budget."""
+    check_budget(8 * check_count(replicas, "replicas"), f"{shown(replicas)} estimates at 8 B each")
+    return np.empty(replicas)
+
+
 def first_moment_mc(
     N: int,
     p: int,
@@ -265,15 +254,14 @@ def first_moment_mc(
     estimate per replica, suitable for mean/standard-error tests.
     """
     params = ModelParams(N=N, p=p, beta=beta)
-    check_count(replicas, "replicas")
+    out = _estimates(replicas)
     check_count(sigma_samples, "sigma_samples")
     check_budget(sigma_samples * params.n_couplings * _PARITY_BYTES,
-                 f"{sigma_samples} states x binom({N},{p}) = {params.n_couplings} couplings "
+                 f"{shown(sigma_samples)} states x binom({N},{p}) = {params.n_couplings} couplings "
                  f"at {_PARITY_BYTES} B each")
     masks = mask_table(N, p)
     scale = beta * math.sqrt(N)
     root = 1.0 / math.sqrt(params.n_couplings)
-    out = np.empty(replicas)
     for r in range(replicas):
         rep_seed = derive_seed(base_seed, r)
         disorder = sample_disorder(params, rep_seed)
@@ -302,10 +290,9 @@ def j_mgf_mc(
 ) -> np.ndarray:
     """Per-replica Monte Carlo samples of e^{-q N J_N}."""
     params = ModelParams(N=N, p=p, beta=beta)
-    check_count(replicas, "replicas")
+    out = _estimates(replicas)
     if math.isnan(q):
         raise InvalidParametersError(f"q={q} must be a number")
-    out = np.empty(replicas)
     for r in range(replicas):
         disorder = sample_disorder(params, derive_seed(base_seed, r))
         out[r] = finite_exp(-q * N * j_term(disorder, beta), "e^{-q N J_N}")

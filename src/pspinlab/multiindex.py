@@ -36,17 +36,6 @@ _MASK64 = (1 << 64) - 1
 # normals), 32 B next to the cached 8 B mask table of an enumerating mode.
 _COUPLING_BYTES = 40
 
-__all__ = [
-    "ModelParams",
-    "Disorder",
-    "mask_table",
-    "check_coupling_budget",
-    "philox_words",
-    "sample_disorder",
-    "derive_seed",
-    "check_seed",
-]
-
 
 def check_seed(seed: int) -> int:
     """``seed`` itself if it is an integer 64-bit word; masking would alias a wider one.

@@ -33,18 +33,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.polynomial import polyval
 
 from .covariance import MomentPolynomial
-from .errors import InvalidParametersError, beta_power, check_beta, check_count, finite_double
-
-__all__ = [
-    "LimitConstants",
-    "beta_p",
-    "clt_variance",
-    "gaussian_moment",
-    "hermite_moment",
-    "a_exponent",
-    "limit_constants",
-    "REM_BETA",
-]
+from .errors import InvalidParametersError, check_beta, check_count, finite_double, finite_power
 
 # Large-p limit of beta_p: the critical temperature sqrt(2 ln 2).
 REM_BETA = math.sqrt(2.0 * math.log(2.0))
@@ -120,7 +109,7 @@ def clt_variance(beta: float, p: int) -> float:
     check_count(p, "p")
     check_beta(beta)
     # 171! is past the largest double: a larger p is refused, its factorial never formed
-    return beta_power(beta, 4) * finite_double(math.factorial(min(p, 171)), "p!") / 2.0
+    return finite_power(beta, 4, "beta") * finite_double(math.factorial(min(p, 171)), "p!") / 2.0
 
 
 def _double_factorial_odd(m: int) -> int:
@@ -175,7 +164,7 @@ def _convolve(a: list, b: list) -> list:
 def a_exponent(p: int) -> float:
     """a in A_N = N^a, the fine scale A_N/N: 3p/4 - 1/2 for even p, p - 1 for odd p."""
     check_count(p, "p", 3)
-    return 0.75 * p - 0.5 if p % 2 == 0 else float(p - 1)
+    return 0.75 * finite_double(p, "p") - 0.5 if p % 2 == 0 else finite_double(p - 1, "p - 1")
 
 
 def hermite_moment(p: int, r: int) -> int:
@@ -207,11 +196,11 @@ def limit_constants(beta: float, p: int) -> LimitConstants:
     moment = finite_double(hermite_moment(p, r), f"E[He_p^{r}] at p={p}")
     if r == 3:
         mu = 0.0
-        sigma2 = beta_power(beta, 6) / 3.0 * moment
+        sigma2 = finite_power(beta, 6, "beta") / 3.0 * moment
     else:
         base = moment / 12.0 - fact**2 / 8.0
-        mu = -beta_power(beta, 4) * fact / 4.0
-        sigma2 = beta_power(beta, 8) * base
+        mu = -finite_power(beta, 4, "beta") * fact / 4.0
+        sigma2 = finite_power(beta, 8, "beta") * base
     return LimitConstants(
         clt_variance=variance,
         mu=mu,

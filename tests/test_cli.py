@@ -11,6 +11,7 @@ import tracemalloc
 import pytest
 
 from pspinlab import ModelParams, derive_seed, free_energy, harness, j_term, sample_disorder
+from pspinlab import cli
 from pspinlab.cli import build_parser, main
 
 
@@ -420,6 +421,26 @@ def test_parser_subcommands_complete():
     assert set(sub.choices) == {
         "constants", "betap", "tabulate-covariance", "identities", "run", "exact",
     }
+
+
+@pytest.mark.filterwarnings("error")
+def test_each_subcommand_names_its_handler(monkeypatch):
+    # build_parser is the one list of commands: each subparser sets its handler,
+    # which main calls; no second table of command names
+    parser = build_parser()
+    sub = parser._subparsers._group_actions[0]
+    called = []
+    for name, sp in sub.choices.items():
+        handler = sp.get_default("handler")
+        assert callable(handler), name
+        monkeypatch.setattr(cli, handler.__name__, lambda args: called.append(args.command) or 0)
+    assert not hasattr(cli, "_DISPATCH")
+    argv = {"constants": ["--p", "3"], "betap": ["--p", "3"],
+            "tabulate-covariance": ["--n", "4", "--p", "3"], "identities": ["--n", "4", "--p", "3"],
+            "run": ["--n", "4", "--p", "3", "--mode", "theorem1"], "exact": ["--n", "4", "--p", "3"]}
+    for name in sub.choices:
+        assert main([name, *argv[name]]) == 0
+    assert called == list(sub.choices)
 
 
 def test_jterm_cli_rerun_byte_identical(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pspinlab import (
+    ExperimentConfig,
     InvalidParametersError,
     ModelParams,
     MomentPolynomial,
@@ -16,6 +18,7 @@ from pspinlab import (
     clt_variance,
     covariance_numerator,
     d_coefficient,
+    derive_seed,
     exact_covariance,
     exact_first_moment,
     expansion_approx,
@@ -27,12 +30,14 @@ from pspinlab import (
     j_mgf,
     j_mgf_mc,
     j_term,
+    limit_constants,
     mask_table,
     overlap_grid,
     overlap_pmf,
     overlap_pmf_gaussian,
     pair_moment_paths,
     pair_statistic_moment,
+    run_experiment,
     sample_disorder,
     summarize,
     tabulate_covariance,
@@ -40,6 +45,7 @@ from pspinlab import (
 from pspinlab import covariance, errors
 from pspinlab.errors import NumericalError, ResourceLimitError
 from pspinlab.multiindex import check_seed
+from pspinlab.theory import a_exponent
 
 from _oracles import expansion_deviation, gaussian_pmf_error
 
@@ -198,6 +204,7 @@ def test_non_integer_sizes_orders_and_seeds_refused():
             call()
 
 
+@pytest.mark.filterwarnings("error")
 def test_non_finite_arguments_refused():
     # a NaN or inf argument, a beta whose square overflows, an integer past
     # the largest double, or a non-finite result ends in a PspinError; each
@@ -236,6 +243,31 @@ def test_non_finite_arguments_refused():
         lambda: j_mgf_mc(8, 3, 0.5, -1e308, 2, 0),  # [inf, inf]
         lambda: summarize([1e160, -1e160, 0.0], 0.0, 1.0),  # variance inf, skewness nan,
         # with an "overflow encountered in power" warning
+        lambda: ModelParams(N=10**5000, p=3),  # bare ValueError: the refusal message's own
+        # str() of an integer past 4,300 digits
+        lambda: ModelParams(N=-(10**5000), p=3),  # the same
+        lambda: hermite(10**5000),  # the same
+        lambda: derive_seed(10**5000),  # the same
+        lambda: mask_table(10**5000, 3),  # the same
+        lambda: expansion_approx(12, 10**5000, 0.5),  # the same
+        lambda: run_experiment(ExperimentConfig(ModelParams(N=8, p=3, beta=0.3), 10**5000, 0,
+                                                "jterm_clt")),  # the same, from the row budget
+        lambda: first_moment_mc(8, 3, 0.5, 10**5000, 0),  # bare ValueError from np.empty
+        lambda: j_mgf_mc(8, 3, 0.5, 0.5, 10**5000, 0),  # the same
+        lambda: first_moment_mc(8, 3, 0.5, 2, 0, sigma_samples=10**5000),  # bare ValueError:
+        # the budget message's own str()
+        lambda: first_moment_mc(8, 3, 0.5, 10**12, 0),  # bare MemoryError: 7.28 TiB
+        lambda: j_mgf_mc(8, 3, 0.5, 0.5, 10**12, 0),  # the same
+        lambda: overlap_pmf(10**306, 0.0),  # bare OverflowError from lgamma
+        lambda: overlap_pmf(10**18, 0.0),  # bare OverflowError from exp
+        lambda: a_exponent(10**400),  # bare OverflowError: int too large to convert to float
+        lambda: a_exponent(10**400 + 1),  # the same
+        lambda: limit_constants(0.5, 10**400),  # the same
+        lambda: hermite_scaling_gap(10**400, 3),  # the same
+        lambda: tabulate_covariance(10**400, 3),  # the same
+        lambda: hermite_scaling_gap(10**300, 3),  # bare OverflowError: N**1.5
+        lambda: hermite_scaling_gap(10**5000, 3),  # bare OverflowError
+        lambda: d_coefficient(10**20, 10**19),  # bare OverflowError from math.factorial
     )
     for call in calls:
         with pytest.raises(PspinError):
@@ -249,6 +281,23 @@ def test_overflow_and_non_finite_messages():
         j_mgf_mc(8, 3, 0.5, -1e308, 2, 0)
     with pytest.raises(NumericalError, match="not finite"):
         summarize([1e160, -1e160, 0.0], 0.0, 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_d_coefficient_in_o_k_steps():
+    # p! was formed: a bare OverflowError past p = 2^63 - 1, seconds at p = 10^7
+    assert d_coefficient(10**20, 0) == 1.0
+    start = time.perf_counter()
+    assert d_coefficient(10**7, 0) == 1.0
+    assert time.perf_counter() - start < 1.0
+    assert d_coefficient(10**20, 1) == -float(math.comb(10**20, 2))
+    assert d_coefficient(300, 150) == float(math.prod(range(1, 300, 2)))  # 299!!
+    with pytest.raises(NumericalError):
+        d_coefficient(302, 151)  # 301!! is past the largest double
+    for p in range(31):
+        for k in range(p // 2 + 1):
+            exact = (-1) ** k * math.factorial(p) // (2**k * math.factorial(k) * math.factorial(p - 2 * k))
+            assert d_coefficient(p, k) == float(exact)
 
 
 def test_hermite_degree_refused_before_any_coefficient(monkeypatch):

@@ -79,6 +79,21 @@ def test_summarize_detects_wrong_target():
     assert s.ks_pvalue < 1e-6
 
 
+@pytest.mark.filterwarnings("error")
+def test_summarize_skewness_past_moment_underflow():
+    # mean(c^2)^1.5 and mean(c^3) underflowed to 0: an "invalid value encountered in
+    # scalar divide" warning and a NaN skewness; skewness does not depend on scale
+    for scale in (1e-110, 1e-150):
+        assert summarize([scale, -scale, 0.0], 0.0, 1.0).skewness == 0.0
+        s = summarize([scale, 0.0, 0.0], 0.0, 1.0)
+        assert s.skewness == pytest.approx(summarize([1.0, 0.0, 0.0], 0.0, 1.0).skewness,
+                                           rel=1e-15)
+    # samples whose moments do not underflow keep the plain ratio, bit for bit
+    x = np.random.default_rng(3).standard_normal(1000) * 1e-80
+    c = x - x.mean()
+    assert summarize(x, 0.0, 1.0).skewness == float(np.mean(c**3) / np.mean(c**2) ** 1.5)
+
+
 def test_summarize_validation():
     with pytest.raises(InvalidParametersError):
         summarize([1.0], 0.0, 1.0)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import pspinlab
 
 PACKAGE = Path(pspinlab.__file__).parent
@@ -34,7 +36,7 @@ def test_no_private_imports_across_modules():
 def used_names(path: Path) -> set:
     """Every name a file reads or imports.
 
-    A def, a class, an assignment, a docstring or an ``__all__`` entry is no use.
+    A def, a class, an assignment or a docstring is no use.
     """
     names = set()
     for node in ast.walk(ast.parse(path.read_text())):
@@ -56,6 +58,23 @@ def test_every_export_has_a_caller():
     assert len(callers) >= 20 and len(exported) >= 50
     used = set().union(*(used_names(p) for p in callers))
     assert sorted(exported - used) == []
+
+
+def export_lists(source: str) -> list:
+    """Lines of every assignment to ``__all__``: plain, augmented or annotated."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Name) and node.id == "__all__"
+                  and isinstance(node.ctx, ast.Store))
+
+
+@pytest.mark.filterwarnings("error")
+def test_exports_listed_only_in_init():
+    # __init__.py's imports are the one list of exports; a module __all__ repeats
+    # it, nothing reads it, and it drifts: twelve names once listed were not exported
+    source = "__all__ = ['a']\n__all__ += ['b']\n__all__: list = []\nx = __all__\n"
+    assert export_lists(source) == [1, 2, 3]
+    offenders = {p.name: export_lists(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in offenders.items() if hits} == {}
 
 
 def test_every_private_definition_has_a_caller():
